@@ -16,14 +16,16 @@ import (
 //
 // pairBatch lays the same iteration out as struct-of-arrays lanes: one
 // lane per pair, the per-lane scalars (location, scatter, Anderson
-// history, iteration budget, warm/cold mode) in parallel float64
-// slices, and the per-observation weight rows carved out of one flat
-// backing array. A sweep applies exactly one fixed-point iteration to
-// every active lane; lanes that finish (converged, collapsed, or out
-// of budget) drop out via swap-to-end compaction so late-converging
-// pairs do not serialize the batch.
+// history, iteration budget, warm/cold mode) in parallel slices, and
+// the per-observation weight rows carved out of one flat backing
+// array. A sweep applies exactly one fixed-point iteration to every
+// active lane; lanes that finish (converged, collapsed, or out of
+// budget) drop out via swap-to-end compaction so late-converging pairs
+// do not serialize the batch.
 //
-// Bit-identity contract: a lane executes the reference per-pair
+// The lane precision F selects one of two contracts.
+//
+// float64 — bit-identity: a lane executes the reference per-pair
 // arithmetic — the same expressions, in the same order, on the same
 // values — as MaronnaEstimator.FitScratchShared. Interleaving lanes is
 // bit-neutral because no lane reads another lane's state; the only
@@ -40,30 +42,69 @@ import (
 // TestMatrixEngineMatchesReference and the degenerate-batch tests are
 // the gate: per-pair results must be bit-identical to running each
 // pair alone through the reference.
-type pairBatch struct {
-	k, k2   float64
-	tol     float64
+//
+// float32 — bounded accuracy. Profiling puts the robust day almost
+// entirely inside the fixed point, and the fixed point's cost is its
+// iteration count: the map contracts linearly, so driving the relative
+// scatter residual to the float64 tolerance (1e-8) costs many more
+// sweeps than driving it to what single precision can resolve (~1e-5,
+// a few ULPs of the scatter entries). The float32 lane iterates in
+// single precision until the float32 tolerance is met, then polishes
+// with a fixed, small number of exact float64 iterations so the
+// reported fixed point carries full-precision arithmetic.
+// TestFloat32LaneAccuracy and the f32_max_abs_rho_delta bench field
+// measure it against the exact path. Single precision is allowed to
+// give up, never to degrade: any degeneracy on the float32 side —
+// scatter collapse or budget exhaustion on a cold run, a cold
+// initialiser that under/overflows float32, NaN contamination, or a
+// polish step that collapses — abandons the lane to the exact float64
+// path (FitScratchShared with the same warm/cold inputs), so the worst
+// case is the exact answer at the exact cost. Warm (strict) float32
+// failures restart cold in float32 first, mirroring the exact kernel's
+// warm→cold ladder.
+//
+// Both precisions share every line of the batch code. They differ in four
+// per-lane-per-sweep hooks, never per observation: the weight-pass
+// kernels and their vector width (locate/scatter), a converged lane
+// (converge), a failed cold lane (fail), and the float32 admission
+// check on a lane's starting scatter (posDef in add/startCold).
+type pairBatch[F float32 | float64] struct {
+	k, k2   F
+	tol     F
 	maxIter int
+
+	// exact is set for float64 lanes: they run the reference
+	// arithmetic and resolve themselves. float32 lanes polish or fall
+	// back to est.
+	exact bool
+	width int // lanes per vector kernel call: 4 (float64) or 8 (float32)
+
+	est *MaronnaEstimator // validated config; exact fallback of float32 lanes
+	sc  *Scratch          // fallback scratch
 
 	m       int // window length all lanes share
 	laneCap int
 	active  int
 
 	// Per-lane window views and weight rows (swapped with their lane).
-	xw, yw [][]float64
-	wrow   [][]float64
-	wback  []float64 // flat backing for the weight rows
+	// x64/y64 are the float64 windows behind the lane-precision xw/yw
+	// (the same slices when F is float64): cold initialisers, polish
+	// and fallback read them.
+	xw, yw   [][]F
+	x64, y64 [][]float64
+	wrow     [][]float64
+	wback    []float64 // flat backing for the weight rows
 
 	// Per-lane iteration state, struct-of-arrays.
-	t1, t2        []float64
-	v11, v22, v12 []float64
-	pg, pf        [][5]float64 // Anderson(1) history
+	t1, t2        []F
+	v11, v22, v12 []F
+	pg, pf        [][5]F // Anderson(1) history
 	havePrev      []bool
 	strict        []bool // current run is the warm strict attempt
-	attempted     []bool // a warm attempt was made for this window
 	wFresh        []bool // weight row written by the accepted run
 	iters         []int
 	tag           []int // caller's lane identity (stable across compaction)
+	warm          []Fit // the lane's warm input; Valid means an attempt was made
 
 	// Shared cold-start initialisers captured at add time (used again
 	// if a strict run fails and the lane restarts cold).
@@ -76,40 +117,42 @@ type pairBatch struct {
 
 	sbuf []float64 // median/MAD selection scratch for inline cold inits
 
-	f32lane *pairBatch32 // lazily-built float32 iteration lane
-
-	// SIMD lane-major state. When simd is set (AVX2 available and not
-	// disabled for this batch) run() executes sweeps in phases: the
-	// scalar bookkeeping of step() per lane, then one vector kernel
-	// call per full quad of four lanes over the packed tiles. Element
-	// i of the lane at position l lives at xt[(l/4)*4*m + i*4 + l%4]
-	// (quad-blocked obs-major), so a quad's observation i is one
-	// contiguous 32-byte vector load. Lanes keep their packed columns
-	// as compaction swaps them (swapLanes swaps columns while packed),
-	// and compaction itself is deferred to sweep end (dead marks) so a
-	// sweep steps exactly its start-of-sweep active set — the same
-	// schedule as the scalar path, which recordSweep telemetry and the
-	// bit-identity argument both rely on.
+	// Lane-major SIMD state. When simd is set (AVX2 available and not
+	// disabled for this batch) and a run starts with at least one
+	// vector of lanes, the windows are packed into tiles and every full
+	// vector of lanes runs the weight passes as one kernel call.
+	// Element i of the lane at position l lives at
+	// xt[(l/width)*width*m + i*width + l%width] (vector-blocked
+	// obs-major), so a vector's observation i is one contiguous 32-byte
+	// load. Lanes keep their packed columns as compaction swaps them
+	// (swapLanes swaps columns while packed).
 	simd   bool // vector backend enabled for this batch
 	packed bool // tiles currently hold the active lanes' windows
-	deferC bool // inside a phased sweep: finalize defers compaction
 
-	xt, yt, wt []float64 // quad-blocked obs-major tiles (x, y, weights)
-	wVec       []bool    // lane's freshest weights live in wt, not wrow
-	dead       []bool    // lane finalized mid-sweep, compacted at sweep end
-	skip       []bool    // lane resolved/restarted this sweep: no vector consume
+	xt, yt []F
+	wt     []float64 // weight tile; float64 lanes only (float32 scatter records no weights)
+	wVec   []bool    // lane's freshest weights live in wt, not wrow
+	dead   []bool    // lane finalized mid-sweep, compacted at sweep end
+	skip   []bool    // lane resolved/restarted this sweep: sits out its remaining phases
 
 	// Per-sweep per-lane scratch carrying values between phases
 	// (inverse scatter, location sums, new center, scatter sums).
-	li11, li22, li12 []float64
-	lsw, lsx, lsy    []float64
-	lt1n, lt2n       []float64
-	ln11, ln22, ln12 []float64
+	li11, li22, li12 []F
+	lsw, lsx, lsy    []F
+	lt1n, lt2n       []F
+	ln11, ln22, ln12 []F
 }
 
-// simdMinLanes is the smallest active set runSIMD will pack: below one
-// full quad every lane would take the scalar fallback anyway.
-const simdMinLanes = 4
+// float32Tol is the convergence tolerance of the single-precision
+// sweeps: ~100 ULPs of a unit-scale scatter, comfortably above float32
+// rounding noise yet tight enough that the fixed float64 polish
+// (contraction ≈ 0.4/step plus Anderson-free quadratic-ish tail)
+// lands within ~1e-6 of the exact fixed point.
+const float32Tol = 1e-5
+
+// float32PolishIters is the fixed number of exact iterations run after
+// float32 convergence.
+const float32PolishIters = 2
 
 // newPairBatch builds a batch kernel for the given (validated)
 // estimator configuration. The batch grows its lane capacity on
@@ -117,49 +160,61 @@ const simdMinLanes = 4
 // requests the vector backend; it takes effect only when the
 // process-wide dispatch (CPUID, noasm, MM_NOSIMD, SetSIMDMode) allows
 // it, so callers just pass !cfg.DisableSIMD.
-func newPairBatch(cfg MaronnaConfig, simd bool) *pairBatch {
+func newPairBatch[F float32 | float64](cfg MaronnaConfig, simd bool) *pairBatch[F] {
 	e := NewMaronnaEstimator(cfg) // reuse the validation defaults
 	c := e.Config()
-	return &pairBatch{
-		k: c.K, k2: c.K * c.K, tol: c.Tol, maxIter: c.MaxIter,
-		simd: simd && simdActive(),
+	b := &pairBatch[F]{
+		k: F(c.K), k2: F(c.K * c.K), tol: F(c.Tol), maxIter: c.MaxIter,
+		est: e, simd: simd && simdActive(),
 	}
+	switch any(b).(type) {
+	case *pairBatch[float64]:
+		b.exact, b.width = true, 4
+	case *pairBatch[float32]:
+		b.width = 8
+		if b.tol < float32Tol {
+			b.tol = float32Tol
+		}
+	}
+	return b
 }
 
 // begin prepares the batch for windows of length m with up to lanes
 // concurrent lanes. Calling it with previously-seen sizes performs no
 // allocation; results of the previous run remain readable until the
 // first add.
-func (b *pairBatch) begin(m, lanes int) {
+func (b *pairBatch[F]) begin(m, lanes int) {
 	if m != b.m || lanes > b.laneCap {
 		b.grow(m, lanes)
 	}
 	b.active = 0
 }
 
-func (b *pairBatch) grow(m, lanes int) {
+func (b *pairBatch[F]) grow(m, lanes int) {
 	if lanes < b.laneCap {
 		lanes = b.laneCap
 	}
 	b.m = m
 	b.laneCap = lanes
-	b.xw = make([][]float64, lanes)
-	b.yw = make([][]float64, lanes)
+	b.xw = make([][]F, lanes)
+	b.yw = make([][]F, lanes)
+	b.x64 = make([][]float64, lanes)
+	b.y64 = make([][]float64, lanes)
 	b.wrow = make([][]float64, lanes)
 	b.wback = make([]float64, lanes*m)
-	b.t1 = make([]float64, lanes)
-	b.t2 = make([]float64, lanes)
-	b.v11 = make([]float64, lanes)
-	b.v22 = make([]float64, lanes)
-	b.v12 = make([]float64, lanes)
-	b.pg = make([][5]float64, lanes)
-	b.pf = make([][5]float64, lanes)
+	b.t1 = make([]F, lanes)
+	b.t2 = make([]F, lanes)
+	b.v11 = make([]F, lanes)
+	b.v22 = make([]F, lanes)
+	b.v12 = make([]F, lanes)
+	b.pg = make([][5]F, lanes)
+	b.pf = make([][5]F, lanes)
 	b.havePrev = make([]bool, lanes)
 	b.strict = make([]bool, lanes)
-	b.attempted = make([]bool, lanes)
 	b.wFresh = make([]bool, lanes)
 	b.iters = make([]int, lanes)
 	b.tag = make([]int, lanes)
+	b.warm = make([]Fit, lanes)
 	b.ix = make([]ColdInit, lanes)
 	b.iy = make([]ColdInit, lanes)
 	b.haveInit = make([]bool, lanes)
@@ -169,33 +224,37 @@ func (b *pairBatch) grow(m, lanes int) {
 	b.wVec = make([]bool, lanes)
 	b.dead = make([]bool, lanes)
 	b.skip = make([]bool, lanes)
+	b.li11 = make([]F, lanes)
+	b.li22 = make([]F, lanes)
+	b.li12 = make([]F, lanes)
+	b.lsw = make([]F, lanes)
+	b.lsx = make([]F, lanes)
+	b.lsy = make([]F, lanes)
+	b.lt1n = make([]F, lanes)
+	b.lt2n = make([]F, lanes)
+	b.ln11 = make([]F, lanes)
+	b.ln22 = make([]F, lanes)
+	b.ln12 = make([]F, lanes)
 	if b.simd {
-		tile := (lanes + 3) / 4 * 4 * m
-		b.xt = make([]float64, tile)
-		b.yt = make([]float64, tile)
-		b.wt = make([]float64, tile)
-		b.li11 = make([]float64, lanes)
-		b.li22 = make([]float64, lanes)
-		b.li12 = make([]float64, lanes)
-		b.lsw = make([]float64, lanes)
-		b.lsx = make([]float64, lanes)
-		b.lsy = make([]float64, lanes)
-		b.lt1n = make([]float64, lanes)
-		b.lt2n = make([]float64, lanes)
-		b.ln11 = make([]float64, lanes)
-		b.ln22 = make([]float64, lanes)
-		b.ln12 = make([]float64, lanes)
+		tile := (lanes + b.width - 1) / b.width * b.width * m
+		b.xt = make([]F, tile)
+		b.yt = make([]F, tile)
+		if b.exact {
+			b.wt = make([]float64, tile)
+		}
 	}
 }
 
 // add enqueues one window as a lane. x and y must have length m (the
-// begin length); tag identifies the lane to the caller (0 ≤ tag <
-// lanes) and indexes the fits/wOut result slots. warm, ix, iy carry
-// the same meaning as in FitScratchShared. Lanes that finish without
-// iterating (degenerate cold inits) resolve immediately.
-func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st *RobustStats) {
+// begin length); xf and yf are the same windows in lane precision (for
+// float64 lanes, x and y again). tag identifies the lane to the caller
+// (0 ≤ tag < lanes) and indexes the fits/wOut result slots. warm, ix,
+// iy carry the same meaning as in FitScratchShared. Lanes that finish
+// without iterating (degenerate cold inits) resolve immediately.
+func (b *pairBatch[F]) add(x, y []float64, xf, yf []F, warm *Fit, ix, iy *ColdInit, tag int, st *RobustStats) {
 	l := b.active
-	b.xw[l], b.yw[l] = x, y
+	b.x64[l], b.y64[l] = x, y
+	b.xw[l], b.yw[l] = xf, yf
 	b.tag[l] = tag
 	// The weight row is carved out by tag, not by lane slot: a lane
 	// that resolves during add frees its slot for the next add, and a
@@ -208,7 +267,11 @@ func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st
 	b.skip[l] = false
 	b.iters[l] = 0
 	b.havePrev[l] = false
-	b.attempted[l] = warm != nil && warm.Valid
+	if warm != nil {
+		b.warm[l] = *warm
+	} else {
+		b.warm[l] = Fit{}
+	}
 	if ix != nil && iy != nil {
 		b.ix[l], b.iy[l] = *ix, *iy
 		b.haveInit[l] = true
@@ -216,21 +279,35 @@ func (b *pairBatch) add(x, y []float64, warm *Fit, ix, iy *ColdInit, tag int, st
 		b.haveInit[l] = false
 	}
 	b.active = l + 1
-	if b.attempted[l] {
+	if w := &b.warm[l]; w.Valid {
 		// Strict warm attempt from the previous window's fixed point.
 		b.strict[l] = true
-		b.t1[l], b.t2[l] = warm.T1, warm.T2
-		b.v11[l], b.v22[l], b.v12[l] = warm.V11, warm.V22, warm.V12
-		return
+		b.t1[l], b.t2[l] = F(w.T1), F(w.T2)
+		b.v11[l], b.v22[l], b.v12[l] = F(w.V11), F(w.V22), F(w.V12)
+		if b.exact || posDef(b.v11[l], b.v22[l], b.v12[l]) {
+			return
+		}
+		// The float64 fixed point is PD but its float32 truncation is
+		// not (tiny scatter): cold-start in float32 instead.
 	}
-	b.startCold(l, st)
+	if !b.startCold(l, st) {
+		b.active = l // resolved without a sweep: free the slot
+	}
+}
+
+// posDef reports whether a scatter is usable as a float32 lane's
+// starting point (finite, positive definite).
+func posDef[F float32 | float64](v11, v22, v12 F) bool {
+	det := v11*v22 - v12*v12
+	return v11 > 0 && v22 > 0 && det > 0 && !math.IsInf(float64(det), 0)
 }
 
 // startCold (re)initialises lane l from the robust univariate cold
 // start, finalizing immediately when a series is genuinely constant
-// (no correlation defined — the reference's empty Fit). It reports
-// whether the lane is still active.
-func (b *pairBatch) startCold(l int, st *RobustStats) bool {
+// (no correlation defined — the reference's empty Fit). A float32 lane
+// whose initial scatter float32 cannot represent falls back to the
+// exact path. It reports whether the lane is still active.
+func (b *pairBatch[F]) startCold(l int, st *RobustStats) bool {
 	b.strict[l] = false
 	b.wFresh[l] = false
 	b.iters[l] = 0
@@ -239,154 +316,184 @@ func (b *pairBatch) startCold(l int, st *RobustStats) bool {
 	if b.haveInit[l] {
 		i1, i2 = b.ix[l], b.iy[l]
 	} else {
-		i1 = ColdInitOf(b.sbuf, b.xw[l])
-		i2 = ColdInitOf(b.sbuf, b.yw[l])
+		i1 = ColdInitOf(b.sbuf, b.x64[l])
+		i2 = ColdInitOf(b.sbuf, b.y64[l])
 	}
 	if i1.Scale == 0 || i2.Scale == 0 {
 		return b.finalize(l, Fit{}, st)
 	}
-	b.t1[l], b.t2[l] = i1.Med, i2.Med
-	b.v11[l], b.v22[l], b.v12[l] = i1.Scale*i1.Scale, i2.Scale*i2.Scale, 0
+	s1, s2 := F(i1.Scale), F(i2.Scale)
+	v11, v22 := s1*s1, s2*s2
+	if !b.exact && !posDef(v11, v22, 0) {
+		return b.fallbackExact(l, st)
+	}
+	b.t1[l], b.t2[l] = F(i1.Med), F(i2.Med)
+	b.v11[l], b.v22[l], b.v12[l] = v11, v22, 0
 	return true
 }
 
 // run sweeps the active set until every lane has finished. One sweep
-// applies one fixed-point iteration to each active lane; st (when
-// non-nil) records the active-set telemetry that keeps the "where do
-// the cycles go" profile measurable after batching. The vector and
-// scalar paths produce bit-identical fits, weights and telemetry.
-func (b *pairBatch) run(st *RobustStats) {
-	if b.simd && b.active >= simdMinLanes {
-		b.runSIMD(st)
-		return
-	}
-	for b.active > 0 {
-		if st != nil {
-			st.recordSweep(b.active)
-		}
-		l := 0
-		for l < b.active {
-			if b.step(l, st) {
-				l++
-			}
-		}
-	}
-}
-
-// runSIMD is run with each sweep split into phases so the two weight
-// passes execute as lane-major vector kernels: per sweep, (1) the
-// scalar inverse-scatter bookkeeping of step() for every lane, (2) the
-// location pass — one maronnaLocation4 call per full quad, scalar
-// maronnaLocation for the ragged tail — (3) the scalar sw==0 check and
-// center update, (4) the scatter pass likewise, (5) the scalar
-// convergence/Anderson/budget tail of step(). A lane resolved or
-// cold-restarted by a scalar phase sets skip and sits out the rest of
-// the sweep (exactly the scalar schedule, where step() returns after
-// the same decision); vector kernels still process skipped lanes'
-// slots — their packed data is valid, no lane reads another's slot,
-// and phases 3/5 discard the results — so quads never need masking.
-// Finalized lanes compact at sweep end (finalize defers while deferC),
-// preserving "one sweep steps the start-of-sweep active set".
-func (b *pairBatch) runSIMD(st *RobustStats) {
-	prof := st != nil && simdProfiling.Load()
+// applies one fixed-point iteration to each active lane, split into
+// phases so the two weight passes can run as lane-major vector
+// kernels: (1) the determinant guard and inverse scatter per lane,
+// (2) the location pass, (3) the sw==0 guard and new center per lane,
+// (4) the scatter pass, (5) convergence, Anderson(1) and budget per
+// lane. The passes run the vector kernel over every full vector of
+// packed lanes and the scalar pass over the rest — all lanes on the
+// scalar tier or when the run starts with fewer than one vector of
+// lanes. A lane resolved or cold-restarted by a per-lane phase sets
+// skip and sits out the rest of the sweep; vector kernels still
+// process skipped lanes' slots — their packed data is valid, no lane
+// reads another's slot, and the later phases discard the results — so
+// vectors never need masking. Finalized lanes compact at sweep end,
+// so a sweep steps exactly its start-of-sweep active set on both
+// tiers: fits, weights and st's active-set telemetry are tier-
+// independent.
+func (b *pairBatch[F]) run(st *RobustStats) {
+	vec := b.simd && b.active >= b.width
+	prof := vec && st != nil && simdProfiling.Load()
 	var t0 time.Time
 	if prof {
 		t0 = time.Now()
 	}
-	b.pack()
-	if prof {
-		now := time.Now()
-		st.SIMDPackNs += now.Sub(t0).Nanoseconds()
-		t0 = now
+	if vec {
+		b.pack()
+		if prof {
+			now := time.Now()
+			st.SIMDPackNs += now.Sub(t0).Nanoseconds()
+			t0 = now
+		}
 	}
-	b.deferC = true
-	m := b.m
 	for b.active > 0 {
 		if st != nil {
 			st.recordSweep(b.active)
 		}
 		n := b.active
+		full := 0
+		if b.packed {
+			full = n - n%b.width
+		}
 		for l := 0; l < n; l++ {
 			b.skip[l] = false
 			b.phaseInverse(l, st)
 		}
-		full := n / 4
-		for q := 0; q < full; q++ {
-			o := q * 4
-			maronnaLocation4(&b.xt[o*m], &b.yt[o*m], m,
-				&b.t1[o], &b.t2[o], &b.li11[o], &b.li22[o], &b.li12[o],
-				b.k, b.k2, &b.lsw[o], &b.lsx[o], &b.lsy[o])
-		}
-		for l := full * 4; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.lsw[l], b.lsx[l], b.lsy[l] = maronnaLocation(b.xw[l], b.yw[l],
-				b.t1[l], b.t2[l], b.li11[l], b.li22[l], b.li12[l], b.k, b.k2)
-		}
+		b.locate(n, full)
 		for l := 0; l < n; l++ {
-			if b.skip[l] {
-				continue
+			if !b.skip[l] {
+				b.phaseCenter(l, st)
 			}
-			b.phaseCenter(l, st)
 		}
-		for q := 0; q < full; q++ {
-			o := q * 4
-			maronnaScatter4(&b.xt[o*m], &b.yt[o*m], &b.wt[o*m], m,
-				&b.lt1n[o], &b.lt2n[o], &b.li11[o], &b.li22[o], &b.li12[o],
-				b.k2, &b.ln11[o], &b.ln22[o], &b.ln12[o])
-		}
-		for l := full * 4; l < n; l++ {
-			if b.skip[l] {
-				continue
-			}
-			b.ln11[l], b.ln22[l], b.ln12[l] = maronnaScatter(b.xw[l], b.yw[l],
-				b.wrow[l], b.lt1n[l], b.lt2n[l], b.li11[l], b.li22[l], b.li12[l], b.k2)
-			b.wVec[l] = false
-		}
+		b.scatter(n, full)
 		for l := 0; l < n; l++ {
-			if b.skip[l] {
-				continue
+			if !b.skip[l] {
+				b.phaseAdvance(l, st)
 			}
-			b.wFresh[l] = true
-			if l < full*4 {
-				b.wVec[l] = true
-			}
-			b.phaseAdvance(l, st)
 		}
 		b.compactDead()
 	}
-	b.deferC = false
 	b.packed = false
 	if prof {
 		st.SIMDRunNs += time.Since(t0).Nanoseconds()
 	}
 }
 
-// pack transposes the active lanes' windows into the quad-blocked
+// locate is the location pass of a sweep over lanes [0, n): the vector
+// kernel over the first full lanes, the scalar pass over the other
+// lanes still stepping.
+func (b *pairBatch[F]) locate(n, full int) {
+	switch b := any(b).(type) {
+	case *pairBatch[float64]:
+		m := b.m
+		for o := 0; o < full; o += 4 {
+			maronnaLocation4(&b.xt[o*m], &b.yt[o*m], m,
+				&b.t1[o], &b.t2[o], &b.li11[o], &b.li22[o], &b.li12[o],
+				b.k, b.k2, &b.lsw[o], &b.lsx[o], &b.lsy[o])
+		}
+		for l := full; l < n; l++ {
+			if !b.skip[l] {
+				b.lsw[l], b.lsx[l], b.lsy[l] = maronnaLocation(b.xw[l], b.yw[l],
+					b.t1[l], b.t2[l], b.li11[l], b.li22[l], b.li12[l], b.k, b.k2)
+			}
+		}
+	case *pairBatch[float32]:
+		m := b.m
+		for o := 0; o < full; o += 8 {
+			maronnaLocation8f(&b.xt[o*m], &b.yt[o*m], m,
+				&b.t1[o], &b.t2[o], &b.li11[o], &b.li22[o], &b.li12[o],
+				b.k, b.k2, &b.lsw[o], &b.lsx[o], &b.lsy[o])
+		}
+		for l := full; l < n; l++ {
+			if !b.skip[l] {
+				b.lsw[l], b.lsx[l], b.lsy[l] = maronnaLocation32(b.xw[l], b.yw[l],
+					b.t1[l], b.t2[l], b.li11[l], b.li22[l], b.li12[l], b.k, b.k2)
+			}
+		}
+	}
+}
+
+// scatter is the scatter pass of a sweep, split like locate. float64
+// lanes record their weights (in the wt tile for vector lanes, in the
+// weight row otherwise); float32 lanes record none — the polish or
+// the exact fallback writes the weights that get published.
+func (b *pairBatch[F]) scatter(n, full int) {
+	switch b := any(b).(type) {
+	case *pairBatch[float64]:
+		m := b.m
+		for o := 0; o < full; o += 4 {
+			maronnaScatter4(&b.xt[o*m], &b.yt[o*m], &b.wt[o*m], m,
+				&b.lt1n[o], &b.lt2n[o], &b.li11[o], &b.li22[o], &b.li12[o],
+				b.k2, &b.ln11[o], &b.ln22[o], &b.ln12[o])
+		}
+		for l := 0; l < n; l++ {
+			if b.skip[l] {
+				continue
+			}
+			if l >= full {
+				b.ln11[l], b.ln22[l], b.ln12[l] = maronnaScatter(b.xw[l], b.yw[l],
+					b.wrow[l], b.lt1n[l], b.lt2n[l], b.li11[l], b.li22[l], b.li12[l], b.k2)
+			}
+			b.wFresh[l] = true
+			b.wVec[l] = l < full
+		}
+	case *pairBatch[float32]:
+		m := b.m
+		for o := 0; o < full; o += 8 {
+			maronnaScatter8f(&b.xt[o*m], &b.yt[o*m], m,
+				&b.lt1n[o], &b.lt2n[o], &b.li11[o], &b.li22[o], &b.li12[o],
+				b.k2, &b.ln11[o], &b.ln22[o], &b.ln12[o])
+		}
+		for l := full; l < n; l++ {
+			if !b.skip[l] {
+				b.ln11[l], b.ln22[l], b.ln12[l] = maronnaScatter32(b.xw[l], b.yw[l],
+					b.lt1n[l], b.lt2n[l], b.li11[l], b.li22[l], b.li12[l], b.k2)
+			}
+		}
+	}
+}
+
+// pack transposes the active lanes' windows into the vector-blocked
 // tiles. It runs once per batch run — the tiles then serve every
 // sweep, and compaction keeps columns attached to their lanes by
 // swapping them.
-func (b *pairBatch) pack() {
-	m := b.m
+func (b *pairBatch[F]) pack() {
+	m, w := b.m, b.width
+	xt, yt := b.xt, b.yt
 	for l := 0; l < b.active; l++ {
-		base := (l &^ 3) * m
-		s := l & 3
+		o := (l&^(w-1))*m + l&(w-1)
 		x, y := b.xw[l][:m], b.yw[l][:m]
-		for i := 0; i < m; i++ {
-			b.xt[base+i*4+s] = x[i]
-			b.yt[base+i*4+s] = y[i]
+		for i := range x {
+			xt[o], yt[o] = x[i], y[i]
+			o += w
 		}
 		b.wVec[l] = false
-		b.dead[l] = false
-		b.skip[l] = false
 	}
 	b.packed = true
 }
 
 // untranspose copies lane l's weight column out of the wt tile into
-// its flat weight row (the form results are published in).
-func (b *pairBatch) untranspose(l int) {
+// its flat weight row (the form results are published in). Only
+// float64 lanes have a weight tile, so the blocking is by quads.
+func (b *pairBatch[F]) untranspose(l int) {
 	base := (l&^3)*b.m + l&3
 	w := b.wrow[l]
 	for i := range w {
@@ -394,18 +501,15 @@ func (b *pairBatch) untranspose(l int) {
 	}
 }
 
-// phaseInverse is step()'s opening: the determinant guard and the
-// inverse-scatter entries, stashed per lane for the vector kernels.
-func (b *pairBatch) phaseInverse(l int, st *RobustStats) {
+// phaseInverse opens one fixed-point iteration: the determinant guard
+// and the inverse-scatter entries, stashed per lane for the weight
+// passes.
+func (b *pairBatch[F]) phaseInverse(l int, st *RobustStats) {
 	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
 	det := v11*v22 - v12*v12
 	if det <= 0 || v11 <= 0 || v22 <= 0 {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
+		// Scatter collapsed.
+		b.fail(l, st)
 		return
 	}
 	b.iters[l]++
@@ -414,180 +518,55 @@ func (b *pairBatch) phaseInverse(l int, st *RobustStats) {
 	b.li12[l] = -v12 / det
 }
 
-// phaseCenter is step()'s middle: the sw==0 degeneracy guard and the
-// new location from the batched location sums.
-func (b *pairBatch) phaseCenter(l int, st *RobustStats) {
+// phaseCenter is the iteration's middle: the sw==0 degeneracy guard
+// and the new location from the location sums.
+func (b *pairBatch[F]) phaseCenter(l int, st *RobustStats) {
 	sw := b.lsw[l]
 	if sw == 0 {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
+		b.fail(l, st)
 		return
 	}
 	b.lt1n[l], b.lt2n[l] = b.lsx[l]/sw, b.lsy[l]/sw
 }
 
-// phaseAdvance is step()'s tail from the scatter normalisation on:
-// convergence test, Anderson(1) extrapolation, and iteration budget —
-// the same expressions in the same order.
-func (b *pairBatch) phaseAdvance(l int, st *RobustStats) {
+// phaseAdvance is the iteration's tail from the scatter normalisation
+// on: convergence test, Anderson(1) extrapolation, and iteration
+// budget — transcribing the reference iterate loop expression for
+// expression.
+func (b *pairBatch[F]) phaseAdvance(l int, st *RobustStats) {
 	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
 	t1, t2 := b.t1[l], b.t2[l]
 	t1n, t2n := b.lt1n[l], b.lt2n[l]
 	n11, n22, n12 := b.ln11[l], b.ln22[l], b.ln12[l]
-	fn := float64(len(b.xw[l]))
+	fn := F(len(b.xw[l]))
 	n11 /= fn
 	n22 /= fn
 	n12 /= fn
 
-	den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
-	num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
-	g := [5]float64{t1n, t2n, n11, n22, n12}
-	f := [5]float64{t1n - t1, t2n - t2, n11 - v11, n22 - v22, n12 - v12}
+	den := fabs(v11) + fabs(v22) + fabs(v12)
+	num := fabs(n11-v11) + fabs(n22-v22) + fabs(n12-v12)
+	g := [5]F{t1n, t2n, n11, n22, n12}
+	f := [5]F{t1n - t1, t2n - t2, n11 - v11, n22 - v22, n12 - v12}
 	t1, t2 = t1n, t2n
 	v11, v22, v12 = n11, n22, n12
 	if den > 0 && num/den < b.tol {
 		b.t1[l], b.t2[l] = t1, t2
 		b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-		if b.strict[l] && (v11 <= 0 || v22 <= 0) {
-			b.startCold(l, st)
-			b.skip[l] = true
-			return
-		}
-		b.finish(l, true, st)
-		b.skip[l] = true
+		b.converge(l, st)
 		return
-	}
-
-	if b.havePrev[l] {
-		pf := &b.pf[l]
-		var fd, dd float64
-		for c := 0; c < 5; c++ {
-			d := f[c] - pf[c]
-			fd += f[c] * d
-			dd += d * d
-		}
-		if dd > 0 {
-			if theta := fd / dd; math.Abs(theta) < 16 {
-				pg := &b.pg[l]
-				a1 := t1n - theta*(t1n-pg[0])
-				a2 := t2n - theta*(t2n-pg[1])
-				a11 := n11 - theta*(n11-pg[2])
-				a22 := n22 - theta*(n22-pg[3])
-				a12 := n12 - theta*(n12-pg[4])
-				if a11 > 0 && a22 > 0 && a11*a22-a12*a12 > 0 {
-					t1, t2 = a1, a2
-					v11, v22, v12 = a11, a22, a12
-				}
-			}
-		}
-	}
-	b.pg[l] = g
-	b.pf[l] = f
-	b.havePrev[l] = true
-	b.t1[l], b.t2[l] = t1, t2
-	b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-
-	if b.iters[l] >= b.maxIter {
-		if b.strict[l] {
-			b.startCold(l, st)
-		} else {
-			b.finish(l, false, st)
-		}
-		b.skip[l] = true
-	}
-}
-
-// compactDead swaps lanes finalized during the sweep out of the active
-// set. Running it between sweeps (rather than compacting inline like
-// the scalar path) keeps quad membership stable while vector kernels
-// are in flight; the resulting active sets per sweep are identical
-// either way.
-func (b *pairBatch) compactDead() {
-	l := 0
-	for l < b.active {
-		if !b.dead[l] {
-			l++
-			continue
-		}
-		last := b.active - 1
-		if l != last {
-			b.swapLanes(l, last)
-		}
-		b.dead[last] = false
-		b.active = last
-	}
-}
-
-// step advances lane l by one fixed-point iteration, transcribing one
-// trip of the reference iterate loop. It reports whether the lane is
-// still active at position l (finished lanes compact another lane into
-// l, so the caller must not advance).
-func (b *pairBatch) step(l int, st *RobustStats) bool {
-	v11, v22, v12 := b.v11[l], b.v22[l], b.v12[l]
-	det := v11*v22 - v12*v12
-	if det <= 0 || v11 <= 0 || v22 <= 0 {
-		// Scatter collapsed: strict runs rerun cold, cold runs accept
-		// the current state (the reference's break).
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
-	}
-	b.iters[l]++
-	i11 := v22 / det
-	i22 := v11 / det
-	i12 := -v12 / det
-
-	x, y := b.xw[l], b.yw[l]
-	t1, t2 := b.t1[l], b.t2[l]
-	sw, sx, sy := maronnaLocation(x, y, t1, t2, i11, i22, i12, b.k, b.k2)
-	if sw == 0 {
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
-	}
-	t1n, t2n := sx/sw, sy/sw
-
-	n11, n22, n12 := maronnaScatter(x, y, b.wrow[l], t1n, t2n, i11, i22, i12, b.k2)
-	b.wFresh[l] = true
-	fn := float64(len(x))
-	n11 /= fn
-	n22 /= fn
-	n12 /= fn
-
-	den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
-	num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
-	g := [5]float64{t1n, t2n, n11, n22, n12}
-	f := [5]float64{t1n - t1, t2n - t2, n11 - v11, n22 - v22, n12 - v12}
-	t1, t2 = t1n, t2n
-	v11, v22, v12 = n11, n22, n12
-	if den > 0 && num/den < b.tol {
-		b.t1[l], b.t2[l] = t1, t2
-		b.v11[l], b.v22[l], b.v12[l] = v11, v22, v12
-		if b.strict[l] && (v11 <= 0 || v22 <= 0) {
-			// The reference reports a converged-but-degenerate warm fit
-			// as a warm failure; rerun cold like FitScratchShared does.
-			return b.startCold(l, st)
-		}
-		return b.finish(l, true, st)
 	}
 
 	// Anderson(1) extrapolation from the last two plain steps.
 	if b.havePrev[l] {
 		pf := &b.pf[l]
-		var fd, dd float64
+		var fd, dd F
 		for c := 0; c < 5; c++ {
 			d := f[c] - pf[c]
 			fd += f[c] * d
 			dd += d * d
 		}
 		if dd > 0 {
-			if theta := fd / dd; math.Abs(theta) < 16 {
+			if theta := fd / dd; fabs(theta) < 16 {
 				pg := &b.pg[l]
 				a1 := t1n - theta*(t1n-pg[0])
 				a2 := t2n - theta*(t2n-pg[1])
@@ -610,20 +589,73 @@ func (b *pairBatch) step(l int, st *RobustStats) bool {
 
 	if b.iters[l] >= b.maxIter {
 		// Iteration budget exhausted without convergence.
-		if b.strict[l] {
-			return b.startCold(l, st)
-		}
-		return b.finish(l, false, st)
+		b.fail(l, st)
 	}
-	return true
 }
 
-// finish builds lane l's Fit exactly as the reference does after its
-// loop exits and finalizes the lane.
-func (b *pairBatch) finish(l int, converged bool, st *RobustStats) bool {
+// fabs is math.Abs in the lane precision (exact for float32: the
+// round trip through float64 is lossless).
+func fabs[F float32 | float64](x F) F { return F(math.Abs(float64(x))) }
+
+// converge resolves lane l, whose plain step just met the tolerance. A
+// float64 lane publishes its state — unless it is a strict run that
+// converged onto a degenerate scatter, which the reference reports as
+// a warm failure and reruns cold. A float32 lane goes to the float64
+// polish. Either way the lane sits out the rest of the sweep.
+func (b *pairBatch[F]) converge(l int, st *RobustStats) {
+	switch {
+	case !b.exact:
+		b.polishLane(l, st)
+	case b.strict[l] && (b.v11[l] <= 0 || b.v22[l] <= 0):
+		b.startCold(l, st)
+	default:
+		b.finish(l, true, st)
+	}
+	b.skip[l] = true
+}
+
+// fail ends lane l's current run without convergence (collapsed
+// scatter, zero location weight, or exhausted budget): a strict run
+// restarts cold; a cold float64 run accepts its current state (the
+// reference's break); a cold float32 run gives up to the exact path.
+// Either way the lane sits out the rest of the sweep.
+func (b *pairBatch[F]) fail(l int, st *RobustStats) {
+	switch {
+	case b.strict[l]:
+		b.startCold(l, st)
+	case b.exact:
+		b.finish(l, false, st)
+	default:
+		b.fallbackExact(l, st)
+	}
+	b.skip[l] = true
+}
+
+// compactDead swaps lanes finalized during the sweep (or during add)
+// out of the active set. Running it between sweeps keeps vector
+// membership stable while kernels are in flight.
+func (b *pairBatch[F]) compactDead() {
+	l := 0
+	for l < b.active {
+		if !b.dead[l] {
+			l++
+			continue
+		}
+		last := b.active - 1
+		if l != last {
+			b.swapLanes(l, last)
+		}
+		b.dead[last] = false
+		b.active = last
+	}
+}
+
+// finish builds a float64 lane's Fit exactly as the reference does
+// after its loop exits and finalizes the lane.
+func (b *pairBatch[F]) finish(l int, converged bool, st *RobustStats) bool {
 	f := Fit{
-		T1: b.t1[l], T2: b.t2[l],
-		V11: b.v11[l], V22: b.v22[l], V12: b.v12[l],
+		T1: float64(b.t1[l]), T2: float64(b.t2[l]),
+		V11: float64(b.v11[l]), V22: float64(b.v22[l]), V12: float64(b.v12[l]),
 		Iters: b.iters[l], Converged: converged,
 	}
 	if f.V11 > 0 && f.V22 > 0 {
@@ -638,13 +670,79 @@ func (b *pairBatch) finish(l int, converged bool, st *RobustStats) bool {
 	return b.finalize(l, f, st)
 }
 
+// polishLane promotes float32 lane l's converged state to float64 and
+// runs the fixed exact polish iterations, writing the lane's float64
+// weight row. Any degeneracy mid-polish abandons to the exact path.
+// The passes keep the reference's serial shape: reassociated variants
+// measured no faster (the passes are µop-throughput-bound).
+func (b *pairBatch[F]) polishLane(l int, st *RobustStats) bool {
+	x, y, w := b.x64[l], b.y64[l], b.wrow[l]
+	t1, t2 := float64(b.t1[l]), float64(b.t2[l])
+	v11, v22, v12 := float64(b.v11[l]), float64(b.v22[l]), float64(b.v12[l])
+	c := b.est.Config()
+	k, k2, tol := c.K, c.K*c.K, c.Tol
+	iters := 0
+	for p := 0; p < float32PolishIters; p++ {
+		det := v11*v22 - v12*v12
+		if det <= 0 || v11 <= 0 || v22 <= 0 {
+			return b.fallbackExact(l, st)
+		}
+		iters++
+		i11 := v22 / det
+		i22 := v11 / det
+		i12 := -v12 / det
+		sw, sx, sy := maronnaLocation(x, y, t1, t2, i11, i22, i12, k, k2)
+		if sw == 0 {
+			return b.fallbackExact(l, st)
+		}
+		t1n, t2n := sx/sw, sy/sw
+		n11, n22, n12 := maronnaScatter(x, y, w, t1n, t2n, i11, i22, i12, k2)
+		fn := float64(len(x))
+		n11 /= fn
+		n22 /= fn
+		n12 /= fn
+		den := math.Abs(v11) + math.Abs(v22) + math.Abs(v12)
+		num := math.Abs(n11-v11) + math.Abs(n22-v22) + math.Abs(n12-v12)
+		t1, t2 = t1n, t2n
+		v11, v22, v12 = n11, n22, n12
+		if den > 0 && num/den < tol {
+			break
+		}
+	}
+	if v11 <= 0 || v22 <= 0 || v11*v22-v12*v12 <= 0 {
+		return b.fallbackExact(l, st)
+	}
+	b.wFresh[l] = true
+	f := Fit{
+		T1: t1, T2: t2, V11: v11, V22: v22, V12: v12,
+		Iters: b.iters[l] + iters, Converged: true, Valid: true,
+		Seeded: b.strict[l],
+	}
+	f.Rho = clampCorr(v12 / math.Sqrt(v11*v22))
+	return b.finalize(l, f, st)
+}
+
+// fallbackExact resolves float32 lane l through the exact float64
+// per-pair path with the lane's original warm/cold inputs.
+func (b *pairBatch[F]) fallbackExact(l int, st *RobustStats) bool {
+	var ix, iy *ColdInit
+	if b.haveInit[l] {
+		ix, iy = &b.ix[l], &b.iy[l]
+	}
+	f, sc := b.est.FitScratchShared(b.x64[l], b.y64[l], b.sc, &b.warm[l], ix, iy)
+	b.sc = sc
+	if len(sc.Weights()) == len(b.wrow[l]) {
+		copy(b.wrow[l], sc.Weights())
+		b.wFresh[l] = true
+	}
+	return b.finalize(l, f, st)
+}
+
 // finalize publishes lane l's result under its tag, restores the
 // all-ones weight row when no scatter pass of the accepted run wrote
-// it, records the window statistics, and compacts the lane out of the
-// active set (immediately on the scalar path; deferred to sweep end
-// inside a phased SIMD sweep, where the lane is only marked dead). It
-// always returns false (lane no longer steps at position l).
-func (b *pairBatch) finalize(l int, f Fit, st *RobustStats) bool {
+// it, records the window statistics, and marks the lane dead for
+// compaction. It always returns false (lane no longer active).
+func (b *pairBatch[F]) finalize(l int, f Fit, st *RobustStats) bool {
 	if b.wVec[l] {
 		// The freshest weights live in the packed tile; publish them in
 		// row form now, before a later vector scatter reuses the column.
@@ -663,25 +761,19 @@ func (b *pairBatch) finalize(l int, f Fit, st *RobustStats) bool {
 	b.fits[tag] = f
 	b.wOut[tag] = b.wrow[l]
 	if st != nil {
-		st.record(f, b.attempted[l])
+		st.record(f, b.warm[l].Valid)
 	}
-	if b.deferC {
-		b.dead[l] = true
-		b.skip[l] = true
-		return false
-	}
-	last := b.active - 1
-	if l != last {
-		b.swapLanes(l, last)
-	}
-	b.active = last
+	b.dead[l] = true
+	b.skip[l] = true
 	return false
 }
 
-// swapLanes exchanges every per-lane slot of lanes a and b.
-func (b *pairBatch) swapLanes(i, j int) {
+// swapLanes exchanges every per-lane slot of lanes i and j.
+func (b *pairBatch[F]) swapLanes(i, j int) {
 	b.xw[i], b.xw[j] = b.xw[j], b.xw[i]
 	b.yw[i], b.yw[j] = b.yw[j], b.yw[i]
+	b.x64[i], b.x64[j] = b.x64[j], b.x64[i]
+	b.y64[i], b.y64[j] = b.y64[j], b.y64[i]
 	b.wrow[i], b.wrow[j] = b.wrow[j], b.wrow[i]
 	b.t1[i], b.t1[j] = b.t1[j], b.t1[i]
 	b.t2[i], b.t2[j] = b.t2[j], b.t2[i]
@@ -692,10 +784,10 @@ func (b *pairBatch) swapLanes(i, j int) {
 	b.pf[i], b.pf[j] = b.pf[j], b.pf[i]
 	b.havePrev[i], b.havePrev[j] = b.havePrev[j], b.havePrev[i]
 	b.strict[i], b.strict[j] = b.strict[j], b.strict[i]
-	b.attempted[i], b.attempted[j] = b.attempted[j], b.attempted[i]
 	b.wFresh[i], b.wFresh[j] = b.wFresh[j], b.wFresh[i]
 	b.iters[i], b.iters[j] = b.iters[j], b.iters[i]
 	b.tag[i], b.tag[j] = b.tag[j], b.tag[i]
+	b.warm[i], b.warm[j] = b.warm[j], b.warm[i]
 	b.ix[i], b.ix[j] = b.ix[j], b.ix[i]
 	b.iy[i], b.iy[j] = b.iy[j], b.iy[i]
 	b.haveInit[i], b.haveInit[j] = b.haveInit[j], b.haveInit[i]
@@ -709,16 +801,20 @@ func (b *pairBatch) swapLanes(i, j int) {
 
 // swapCols exchanges the packed tile columns of lane positions i and j
 // so compaction keeps every lane's window (and pending weight column)
-// attached to its position in the quad layout.
-func (b *pairBatch) swapCols(i, j int) {
-	m := b.m
-	bi := (i&^3)*m + i&3
-	bj := (j&^3)*m + j&3
+// attached to its position in the vector layout.
+func (b *pairBatch[F]) swapCols(i, j int) {
+	m, w := b.m, b.width
+	oi := (i&^(w-1))*m + i&(w-1)
+	oj := (j&^(w-1))*m + j&(w-1)
+	xt, yt, wt := b.xt, b.yt, b.wt
 	for t := 0; t < m; t++ {
-		oi, oj := bi+t*4, bj+t*4
-		b.xt[oi], b.xt[oj] = b.xt[oj], b.xt[oi]
-		b.yt[oi], b.yt[oj] = b.yt[oj], b.yt[oi]
-		b.wt[oi], b.wt[oj] = b.wt[oj], b.wt[oi]
+		xt[oi], xt[oj] = xt[oj], xt[oi]
+		yt[oi], yt[oj] = yt[oj], yt[oi]
+		if wt != nil {
+			wt[oi], wt[oj] = wt[oj], wt[oi]
+		}
+		oi += w
+		oj += w
 	}
 }
 
@@ -757,6 +853,47 @@ func maronnaScatter(x, y, wout []float64, t1, t2, i11, i22, i12, k2 float64) (n1
 			w = k2 / d2
 		}
 		wout[i] = w
+		n11 += w * dx * dx
+		n22 += w * dy * dy
+		n12 += w * dx * dy
+	}
+	return n11, n22, n12
+}
+
+// maronnaLocation32 is the location pass in single precision; the
+// float32(math.Sqrt(float64(·))) form compiles to the hardware
+// single-precision square root. The pass is kept in the reference's
+// serial shape: it is throughput-bound (~13 µops per observation), so
+// unrolled multi-accumulator variants measure no faster and spill
+// registers; see DESIGN.md §8.
+func maronnaLocation32(x, y []float32, t1, t2, i11, i22, i12, k, k2 float32) (sw, sx, sy float32) {
+	y = y[:len(x)]
+	for i := range x {
+		dx, dy := x[i]-t1, y[i]-t2
+		d2 := dx*dx*i11 + 2*dx*dy*i12 + dy*dy*i22
+		w := float32(1)
+		if d2 > k2 {
+			w = k / float32(math.Sqrt(float64(d2)))
+		}
+		sw += w
+		sx += w * x[i]
+		sy += w * y[i]
+	}
+	return sw, sx, sy
+}
+
+// maronnaScatter32 is the scatter pass in single precision. Unlike the
+// float64 pass it does not record per-observation weights: the weights
+// that matter (Combined's) are produced by the float64 polish.
+func maronnaScatter32(x, y []float32, t1, t2, i11, i22, i12, k2 float32) (n11, n22, n12 float32) {
+	y = y[:len(x)]
+	for i := range x {
+		dx, dy := x[i]-t1, y[i]-t2
+		d2 := dx*dx*i11 + 2*dx*dy*i12 + dy*dy*i22
+		w := float32(1)
+		if d2 > k2 {
+			w = k2 / d2
+		}
 		n11 += w * dx * dx
 		n22 += w * dy * dy
 		n12 += w * dx * dy

@@ -133,7 +133,7 @@ func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 	// scalar, which is still a valid run of the contract).
 	for _, simd := range []bool{false, true} {
 		for _, reverse := range []bool{false, true} {
-			b := newPairBatch(est.Config(), simd)
+			b := newPairBatch[float64](est.Config(), simd)
 			b.begin(m, len(lanes))
 			st := &RobustStats{IterHist: make([]int, est.Config().MaxIter+1)}
 			for i := range lanes {
@@ -145,7 +145,7 @@ func TestBatchDegenerateLanesMatchReference(t *testing.T) {
 				if reverse {
 					tag = len(lanes) - 1 - i
 				}
-				b.add(ln.x, ln.y, ln.warm, nil, nil, tag, st)
+				b.add(ln.x, ln.y, ln.x, ln.y, ln.warm, nil, nil, tag, st)
 			}
 			b.run(st)
 

@@ -521,11 +521,11 @@ type OnlineEngine struct {
 	windows [][]float64 // ring buffers, one per stock
 	head    int
 	count   int
-	scratch [][]float64 // contiguous window copies, one per stock
-	pool    []*pairBatch // per-worker batched robust kernels
-	pairs   []taq.Pair  // cached pair table
-	sel     []int       // selected canonical pair ids (identity when cfg.Pairs is nil)
-	fits    []Fit       // per-pair warm-start state (robust types only)
+	scratch [][]float64           // contiguous window copies, one per stock
+	pool    []*pairBatch[float64] // per-worker batched robust kernels
+	pairs   []taq.Pair            // cached pair table
+	sel     []int                 // selected canonical pair ids (identity when cfg.Pairs is nil)
+	fits    []Fit                 // per-pair warm-start state (robust types only)
 
 	// Matrix-level shared state, refreshed per push: tiles over the
 	// pair triangle, per-stock window sums (Pearson) and per-stock
@@ -561,7 +561,7 @@ func NewOnlineEngine(cfg EngineConfig, n int) (*OnlineEngine, error) {
 		e.windows[i] = make([]float64, cfg.M)
 		e.scratch[i] = make([]float64, cfg.M)
 	}
-	e.pool = make([]*pairBatch, cfg.workers())
+	e.pool = make([]*pairBatch[float64], cfg.workers())
 	e.pairs = taq.AllPairs(n)
 	var pairIdx []int
 	if cfg.Pairs != nil {
@@ -717,7 +717,7 @@ func (e *OnlineEngine) matrix() *Matrix {
 		sched.Steal(workers, len(e.tiles), func(w, ti int) {
 			b := e.pool[w]
 			if b == nil {
-				b = newPairBatch(e.est.Config(), !e.cfg.DisableSIMD)
+				b = newPairBatch[float64](e.est.Config(), !e.cfg.DisableSIMD)
 				e.pool[w] = b
 			}
 			tile := e.tiles[ti]
@@ -728,7 +728,8 @@ func (e *OnlineEngine) matrix() *Matrix {
 				if e.haveInit {
 					ix, iy = &e.inits[p.I], &e.inits[p.J]
 				}
-				b.add(e.scratch[p.I], e.scratch[p.J], &e.fits[k], ix, iy, li, nil)
+				x, y := e.scratch[p.I], e.scratch[p.J]
+				b.add(x, y, x, y, &e.fits[k], ix, iy, li, nil)
 			}
 			b.run(nil)
 			for li, k := range tile {

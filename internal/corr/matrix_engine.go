@@ -131,9 +131,9 @@ func computeStockMoments(x []float64, m int, mom *stockMoments) {
 type tileRun struct {
 	m     int
 	steps int
-	est   *MaronnaEstimator // nil when no robust treatment is requested
-	batch *pairBatch        // worker-owned batched kernel (robust only)
-	f32   *pairBatch32      // float32 iteration lane, nil on the exact path
+	est   *MaronnaEstimator   // nil when no robust treatment is requested
+	batch *pairBatch[float64] // worker-owned batched kernel (exact robust path)
+	f32   *pairBatch[float32] // worker-owned float32 iteration lane
 	st    *RobustStats
 	warm  []Fit // per-lane warm-chain state across windows
 
@@ -145,16 +145,20 @@ type tileRun struct {
 }
 
 // newTileRun binds tile (a set of indices into pairs) to its inputs,
-// outputs and shared per-stock state. batch is the calling worker's
-// reusable kernel; nil allocates a fresh one. returns32, non-nil only
-// on the float32 lane, holds the per-stock float32 mirrors of returns.
+// outputs and shared per-stock state. prev is the calling worker's
+// previous tile run, whose batched kernel the new run reuses; nil
+// allocates a fresh one. returns32, non-nil only on the float32 lane,
+// holds the per-stock float32 mirrors of returns.
 func newTileRun(cfg *EngineConfig, tile []int, pairs []int, allPairs []taq.Pair,
 	returns [][]float64, returns32 [][]float32, outP, outM, outC [][]float64,
 	moments []stockMoments, inits []ColdInit,
-	est *MaronnaEstimator, batch *pairBatch, st *RobustStats) *tileRun {
+	est *MaronnaEstimator, prev *tileRun, st *RobustStats) *tileRun {
 
 	steps := len(returns[0]) - cfg.M + 1
 	tr := &tileRun{m: cfg.M, steps: steps, est: est, st: st}
+	if prev != nil {
+		tr.batch, tr.f32 = prev.batch, prev.f32
+	}
 	np := len(tile)
 	tr.xs = make([][]float64, np)
 	tr.ys = make([][]float64, np)
@@ -164,10 +168,6 @@ func newTileRun(cfg *EngineConfig, tile []int, pairs []int, allPairs []taq.Pair,
 		tr.momY = make([]*stockMoments, np)
 	}
 	if est != nil {
-		if batch == nil {
-			batch = newPairBatch(est.Config(), !cfg.DisableSIMD)
-		}
-		tr.batch = batch
 		tr.warm = make([]Fit, np)
 		tr.initX = make([]*ColdInit, np)
 		tr.initY = make([]*ColdInit, np)
@@ -178,9 +178,13 @@ func newTileRun(cfg *EngineConfig, tile []int, pairs []int, allPairs []taq.Pair,
 			tr.outC = make([][]float64, np)
 		}
 		if returns32 != nil {
-			tr.f32 = batch.lane32(est.Config())
+			if tr.f32 == nil {
+				tr.f32 = newPairBatch[float32](est.Config(), !cfg.DisableSIMD)
+			}
 			tr.xs32 = make([][]float32, np)
 			tr.ys32 = make([][]float32, np)
+		} else if tr.batch == nil {
+			tr.batch = newPairBatch[float64](est.Config(), !cfg.DisableSIMD)
 		}
 	}
 	for l, k := range tile {
@@ -251,33 +255,21 @@ func rollingPearsonShared(x, y []float64, m int, dst []float64, mx, my *stockMom
 // both fills the output row and seeds the lane's warm chain for t+1.
 // The t=0 cold start (every pair takes it) reuses the shared per-stock
 // initialisers; later cold fallbacks recompute inline inside the batch,
-// which yields the same values.
-func (tr *tileRun) runRobust() {
-	b := tr.batch
+// which yields the same values. xf and yf are the tile's member rows
+// in the kernel's lane precision F.
+func runRobust[F float32 | float64](tr *tileRun, b *pairBatch[F], xf, yf [][]F) {
 	m := tr.m
-	if tr.f32 != nil {
-		tr.f32.begin(m, len(tr.xs))
-	} else {
-		b.begin(m, len(tr.xs))
-	}
+	b.begin(m, len(tr.xs))
 	for t := 0; t < tr.steps; t++ {
 		for l := range tr.xs {
 			var ix, iy *ColdInit
 			if t == 0 {
 				ix, iy = tr.initX[l], tr.initY[l]
 			}
-			if tr.f32 != nil {
-				tr.f32.add(tr.xs32[l][t:t+m], tr.ys32[l][t:t+m],
-					tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l)
-			} else {
-				b.add(tr.xs[l][t:t+m], tr.ys[l][t:t+m], &tr.warm[l], ix, iy, l, tr.st)
-			}
+			b.add(tr.xs[l][t:t+m], tr.ys[l][t:t+m], xf[l][t:t+m], yf[l][t:t+m],
+				&tr.warm[l], ix, iy, l, tr.st)
 		}
-		if tr.f32 != nil {
-			tr.f32.run(tr.st)
-		} else {
-			b.run(tr.st)
-		}
+		b.run(tr.st)
 		for l := range tr.xs {
 			f := b.fits[l]
 			tr.warm[l] = f
@@ -301,8 +293,11 @@ func (tr *tileRun) run() {
 			rollingPearsonShared(tr.xs[l], tr.ys[l], tr.m, tr.outP[l], tr.momX[l], tr.momY[l])
 		}
 	}
-	if tr.est != nil {
-		tr.runRobust()
+	switch {
+	case tr.f32 != nil:
+		runRobust(tr, tr.f32, tr.xs32, tr.ys32)
+	case tr.est != nil:
+		runRobust(tr, tr.batch, tr.xs, tr.ys)
 	}
 }
 
@@ -404,7 +399,7 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 			workerStats[w].IterHist = make([]int, cfg.maronna().MaxIter+1)
 		}
 	}
-	workerBatch := make([]*pairBatch, workers)
+	workerRun := make([]*tileRun, workers)
 
 	sched.Steal(workers, len(tiles), func(w, ti int) {
 		var st *RobustStats
@@ -412,9 +407,9 @@ func ComputeMatrixSeries(cfg EngineConfig, types []Type, returns [][]float64) ([
 			st = &workerStats[w]
 		}
 		tr := newTileRun(&cfg, tiles[ti], pairs, allPairs, returns, returns32,
-			outP, outM, outC, moments, inits, est, workerBatch[w], st)
+			outP, outM, outC, moments, inits, est, workerRun[w], st)
 		tr.run()
-		workerBatch[w] = tr.batch
+		workerRun[w] = tr
 	})
 
 	if robust {

@@ -216,33 +216,51 @@ func TestColdInitSharedMatchesInline(t *testing.T) {
 // TestTileRunSteadyStateZeroAllocs extends the allocation-regression
 // gate to the tiled path: once the worker scratch is sized, executing
 // a whole tile (both treatments plus Pearson, all window steps) must
-// not allocate.
+// not allocate — on the exact kernel and on the float32 lane under
+// both dispatch tiers.
 func TestTileRunSteadyStateZeroAllocs(t *testing.T) {
 	rets := marketReturns(t, 5, 12)
 	const m = 100
-	cfg := EngineConfig{M: m, TileSize: 16}
-	pairs, outs, err := prepareSeriesRequest(cfg, []Type{Pearson, Maronna, Combined}, rets)
-	if err != nil {
-		t.Fatal(err)
+	rets32 := make([][]float32, len(rets))
+	for i, row := range rets {
+		rets32[i] = make([]float32, len(row))
+		for j, v := range row {
+			rets32[i][j] = float32(v)
+		}
 	}
-	n := len(rets)
-	allPairs := taq.AllPairs(n)
-	moments := make([]stockMoments, n)
-	inits := make([]ColdInit, n)
-	buf := make([]float64, m)
-	for i := range rets {
-		computeStockMoments(rets[i], m, &moments[i])
-		inits[i] = ColdInitOf(buf, rets[i][:m])
-	}
-	tiles := buildTiles(pairs, allPairs, cfg.TileSize)
-	est := NewMaronnaEstimator(cfg.maronna())
-	st := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
-	tr := newTileRun(&cfg, tiles[0], pairs, allPairs, rets, nil,
-		outs[0].Corr, outs[1].Corr, outs[2].Corr, moments, inits, est, nil, st)
+	for _, cfg := range []EngineConfig{
+		{M: m, TileSize: 16},
+		{M: m, TileSize: 16, Float32: true},
+		{M: m, TileSize: 16, Float32: true, DisableSIMD: true},
+	} {
+		pairs, outs, err := prepareSeriesRequest(cfg, []Type{Pearson, Maronna, Combined}, rets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(rets)
+		allPairs := taq.AllPairs(n)
+		moments := make([]stockMoments, n)
+		inits := make([]ColdInit, n)
+		buf := make([]float64, m)
+		for i := range rets {
+			computeStockMoments(rets[i], m, &moments[i])
+			inits[i] = ColdInitOf(buf, rets[i][:m])
+		}
+		var returns32 [][]float32
+		if cfg.Float32 {
+			returns32 = rets32
+		}
+		tiles := buildTiles(pairs, allPairs, cfg.TileSize)
+		est := NewMaronnaEstimator(cfg.maronna())
+		st := &RobustStats{IterHist: make([]int, cfg.maronna().MaxIter+1)}
+		tr := newTileRun(&cfg, tiles[0], pairs, allPairs, rets, returns32,
+			outs[0].Corr, outs[1].Corr, outs[2].Corr, moments, inits, est, nil, st)
 
-	tr.run() // size the scratch
-	allocs := testing.AllocsPerRun(3, func() { tr.run() })
-	if allocs != 0 {
-		t.Fatalf("steady-state tile run allocates %.1f times, want 0", allocs)
+		tr.run() // size the scratch
+		allocs := testing.AllocsPerRun(3, func() { tr.run() })
+		if allocs != 0 {
+			t.Fatalf("Float32=%v DisableSIMD=%v: steady-state tile run allocates %.1f times, want 0",
+				cfg.Float32, cfg.DisableSIMD, allocs)
+		}
 	}
 }

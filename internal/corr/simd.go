@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// SIMD dispatch. The batched Maronna kernels (pairBatch, pairBatch32)
-// have a hand-written amd64 AVX2 backend that executes the weight
-// passes in lane-major lockstep: the active lanes' window data is
-// transposed into obs-major tiles and four (f64) or eight (f32) lanes
-// advance per vector instruction, each lane's accumulators pinned to
-// its own vector slot. Because a lane's operation sequence is exactly
+// SIMD dispatch. The batched Maronna kernel (pairBatch[F], one type
+// for both lane precisions) has a hand-written amd64 AVX2 backend that
+// executes the weight passes in lane-major lockstep: the active lanes'
+// window data is transposed into obs-major tiles and four (float64) or
+// eight (float32) lanes advance per vector instruction, each lane's
+// accumulators pinned to its own vector slot. Because a lane's operation sequence is exactly
 // the scalar reference's — same expressions, same order, one IEEE
 // operation per IEEE operation — the f64 vector path is bit-identical
 // to the pure-Go kernel (see DESIGN.md §10 for the full argument).
@@ -27,15 +27,17 @@ import (
 //     mmscale — disables it process-wide at runtime;
 //
 // and per request via EngineConfig.DisableSIMD, which is what the
-// bench harness uses to A/B the tiers inside one process. The scalar
-// fallback is the pre-SIMD code, unchanged, so non-amd64 builds and
-// hosts without AVX2 lose nothing but speed.
+// bench harness uses to A/B the tiers inside one process. Both tiers
+// run the same phased sweep; the scalar tier simply runs the scalar
+// weight passes on every lane, so non-amd64 builds and hosts without
+// AVX2 lose nothing but speed.
 
 // SIMD dispatch tier names, as reported by SIMDTier.
 const (
-	// SIMDTierScalar is the pure-Go fallback: the pre-SIMD batched
-	// kernel, used on non-amd64 builds, `noasm` builds, hosts without
-	// AVX2, and whenever SIMD is disabled by env, flag or config.
+	// SIMDTierScalar is the pure-Go fallback: the batched kernel with
+	// scalar weight passes, used on non-amd64 builds, `noasm` builds,
+	// hosts without AVX2, and whenever SIMD is disabled by env, flag or
+	// config.
 	SIMDTierScalar = "scalar"
 	// SIMDTierAVX2 is the amd64 AVX2 backend: 4-wide f64 and 8-wide
 	// f32 lane-major kernels.

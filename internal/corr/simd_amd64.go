@@ -60,18 +60,18 @@ func maronnaLocation4(xt, yt *float64, m int, t1, t2, i11, i22, i12 *float64, k,
 //go:noescape
 func maronnaScatter4(xt, yt, wt *float64, m int, t1, t2, i11, i22, i12 *float64, k2 float64, n11, n22, n12 *float64)
 
-// maronnaLocation8f is the 8-wide f32 location pass for the
-// approximate iteration lane (oct-packed tiles, element (i, s) at
-// offset i*8+s). The f32 lane has an accuracy contract rather than a
-// bit-identity one, but the kernel still mirrors maronnaLocation32's
-// operation order exactly.
+// maronnaLocation8f is the 8-wide f32 location pass of
+// pairBatch[float32], the approximate iteration lane (oct-packed
+// tiles, element (i, s) at offset i*8+s). The f32 lane has an accuracy
+// contract rather than a bit-identity one, but the kernel still
+// mirrors the scalar float32 pass's operation order exactly.
 //
 //go:noescape
 func maronnaLocation8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k, k2 float32, sw, sx, sy *float32)
 
 // maronnaScatter8f is the 8-wide f32 scatter pass. Like the scalar
-// maronnaScatter32 it records no weights (the weights that matter are
-// produced by the f64 polish).
+// float32 pass it records no weights (the weights that matter are
+// produced by the f64 polish or the exact fallback).
 //
 //go:noescape
 func maronnaScatter8f(xt, yt *float32, m int, t1, t2, i11, i22, i12 *float32, k2 float32, n11, n22, n12 *float32)

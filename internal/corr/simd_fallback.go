@@ -4,10 +4,10 @@ package corr
 
 // Pure-Go half of the SIMD dispatch: on non-amd64 builds and under
 // the `noasm` tag there is no vector backend, simdDetect reports
-// false, and the batch kernels run the scalar path. The kernel stubs
-// exist only so batch.go/batch32.go compile everywhere; dispatch
-// guarantees they are never called (pairBatch.simd / pairBatch32
-// parent dispatch is false when simdDetect is).
+// false, and pairBatch runs the scalar weight passes on every lane.
+// The kernel stubs exist only so batch.go compiles everywhere;
+// dispatch guarantees they are never called (pairBatch.simd is false
+// when simdDetect is, so no tile is ever packed).
 
 func simdDetect() bool { return false }
 

@@ -71,6 +71,8 @@ func seriesBitEqual(t *testing.T, label string, got, want []*Series) {
 // mid-sweep resolution, compaction, and warm/strict restarts in play
 // at every width. If the host (or build) has no AVX2 the SIMD config
 // degrades to scalar and the test still checks engine-vs-reference.
+// The float32 lane has no reference to match, but its two tiers must
+// agree bitwise at every width (L = 1..17 walks the oct boundaries).
 func TestSIMDBitIdentityRaggedLanes(t *testing.T) {
 	const n, T, m = 8, 220, 60
 	rets := simdAdversarialUniverse(n, T, 20080305)
@@ -91,6 +93,16 @@ func TestSIMDBitIdentityRaggedLanes(t *testing.T) {
 			t.Fatal(err)
 		}
 		seriesBitEqual(t, "scalar vs reference", scal, ref)
+
+		f32, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 1, TileSize: lanes, Float32: true}, types, rets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f32Scal, err := ComputeMatrixSeries(EngineConfig{M: m, Workers: 1, TileSize: lanes, Float32: true, DisableSIMD: true}, types, rets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seriesBitEqual(t, "float32 simd vs float32 scalar", f32, f32Scal)
 	}
 }
 
@@ -146,12 +158,13 @@ func TestSIMDWarmChainRestarts(t *testing.T) {
 	}
 
 	for _, simd := range []bool{false, true} {
-		b := newPairBatch(est.Config(), simd)
+		b := newPairBatch[float64](est.Config(), simd)
 		b.begin(m, lanes)
 		warm := make([]Fit, lanes)
 		for ti := 0; ti < steps; ti++ {
 			for l := 0; l < lanes; l++ {
-				b.add(xs[l][ti:ti+m], ys[l][ti:ti+m], &warm[l], nil, nil, l, nil)
+				x, y := xs[l][ti:ti+m], ys[l][ti:ti+m]
+				b.add(x, y, x, y, &warm[l], nil, nil, l, nil)
 			}
 			b.run(nil)
 			for l := 0; l < lanes; l++ {
@@ -223,10 +236,10 @@ func FuzzSIMDMatchesScalar(f *testing.F) {
 		}
 		cfg := DefaultMaronnaConfig()
 		run := func(simd bool) ([]Fit, [][]float64) {
-			b := newPairBatch(cfg, simd)
+			b := newPairBatch[float64](cfg, simd)
 			b.begin(m, lanes)
 			for l := 0; l < lanes; l++ {
-				b.add(xs[l], ys[l], warms[l], nil, nil, l, nil)
+				b.add(xs[l], ys[l], xs[l], ys[l], warms[l], nil, nil, l, nil)
 			}
 			b.run(nil)
 			fits := append([]Fit(nil), b.fits[:lanes]...)

@@ -37,9 +37,12 @@ go test -race ./internal/screen ./internal/corr
 echo "== batched-vs-reference bit-identity smoke"
 go test -race -run 'TestMatrixEngineMatchesReference|TestBatchDegenerateLanesMatchReference|TestFloat32LaneAccuracy' ./internal/corr
 
-echo "== SIMD bit-identity: vector tier vs reference, plus scalar-tier (noasm) run"
+echo "== SIMD bit-identity: vector tier vs reference, plus scalar-tier (noasm) run of both lane precisions"
 go test -race -run 'TestSIMD|FuzzSIMDMatchesScalar' ./internal/corr
-go test -tags noasm -run 'TestSIMD|TestBatchDegenerateLanesMatchReference|FuzzSIMDMatchesScalar' ./internal/corr
+go test -tags noasm -run 'TestSIMD|TestBatchDegenerateLanesMatchReference|FuzzSIMDMatchesScalar|TestFloat32LaneAccuracy|TestMatrixEngineMatchesReference|TestTileRunSteadyStateZeroAllocs' ./internal/corr
+
+echo "== SIMD fuzz: vector tier vs scalar tier on fresh random batches (time-boxed)"
+go test -run '^$' -fuzz FuzzSIMDMatchesScalar -fuzztime 15s ./internal/corr
 
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
