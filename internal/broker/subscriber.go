@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"marketminer/internal/feed"
+	"marketminer/internal/supervise"
 )
 
 // SubscriberConfig tunes a Subscriber.
@@ -25,8 +26,10 @@ type SubscriberConfig struct {
 	// Dial opens a connection to the broker (required). Wrap with
 	// chaos.Dialer to fault-inject the wire.
 	Dial func(ctx context.Context) (net.Conn, error)
-	// Backoff and MaxBackoff bound the reconnect delay (defaults
-	// 20ms, 500ms).
+	// Backoff is the reconnect delay after the first failed session,
+	// doubled per failure up to MaxBackoff (defaults 20ms, 500ms) and
+	// jittered as supervise.Backoff describes, so a broker restart
+	// does not make every subscriber redial in lockstep.
 	Backoff, MaxBackoff time.Duration
 	// MaxAttempts caps consecutive failed sessions (0 = retry until ctx
 	// death or End).
@@ -99,7 +102,7 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 // dies, or MaxAttempts consecutive sessions fail. Wire faults trigger
 // resubscription from the last delivered offsets.
 func (s *Subscriber) Run(ctx context.Context) error {
-	backoff := s.cfg.Backoff
+	bo := supervise.NewBackoff(s.cfg.Backoff, s.cfg.MaxBackoff, nil, nil)
 	attempts := 0
 	for {
 		if err := ctx.Err(); err != nil {
@@ -113,14 +116,10 @@ func (s *Subscriber) Run(ctx context.Context) error {
 		if s.cfg.MaxAttempts > 0 && attempts >= s.cfg.MaxAttempts {
 			return fmt.Errorf("broker: subscriber %q gave up after %d sessions: %w", s.cfg.Member, attempts, err)
 		}
-		s.cfg.Logf("broker: subscriber %q session failed (%v); retrying in %v", s.cfg.Member, err, backoff)
-		select {
-		case <-ctx.Done():
+		d := bo.Delay(attempts)
+		s.cfg.Logf("broker: subscriber %q session failed (%v); retrying in %v", s.cfg.Member, err, d)
+		if !bo.Sleep(ctx, d) {
 			return ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > s.cfg.MaxBackoff {
-			backoff = s.cfg.MaxBackoff
 		}
 	}
 }

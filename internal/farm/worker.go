@@ -11,6 +11,7 @@ import (
 
 	"marketminer/internal/backtest"
 	"marketminer/internal/feed"
+	"marketminer/internal/supervise"
 	"marketminer/internal/sweep"
 )
 
@@ -46,10 +47,10 @@ type WorkerConfig struct {
 	// coordinator heartbeats parked workers every TTL/4, so a healthy
 	// link never trips this.
 	IdleTimeout time.Duration
-	// ReconnectWait is the base redial backoff (doubled per failure up
-	// to 32×, then jittered uniformly in [d/2, d] so a farm of workers
-	// orphaned by the same coordinator death does not redial in
-	// lockstep); ≤ 0 means 100ms.
+	// ReconnectWait is the base redial backoff, doubled per failure up
+	// to 32× and jittered as supervise.Backoff describes, so a farm of
+	// workers orphaned by the same coordinator death does not redial
+	// in lockstep; ≤ 0 means 100ms.
 	ReconnectWait time.Duration
 	// MaxJoinFailures gives up after that many consecutive attempts
 	// that never reached a Grant; ≤ 0 means 10. Mid-sweep disconnects
@@ -58,18 +59,12 @@ type WorkerConfig struct {
 	// fingerprint mismatch) is fatal on the first attempt: retrying a
 	// misconfiguration can never succeed.
 	MaxJoinFailures int
-	// JitterSeed seeds the backoff jitter rng (0 = deterministic
-	// default seed; tests rely on reproducible schedules).
-	JitterSeed int64
-	// Jitter, when non-nil, replaces the JitterSeed-derived rng. The
-	// worker owns it privately (single goroutine), so an injected
-	// seeded rng pins a test's exact backoff sequence.
+	// Jitter and Sleep are the supervise.Backoff test seams: a seeded
+	// rng pins a test's exact schedule (nil draws from a private,
+	// randomly seeded rng per worker), and a recording Sleep asserts
+	// reconnect schedules without wall-clock time.
 	Jitter *rand.Rand
-	// Sleep, when non-nil, replaces the real backoff wait. It must
-	// return false iff ctx was cancelled before the delay elapsed.
-	// Tests inject a recording fake so reconnect schedules can be
-	// asserted without wall-clock time.
-	Sleep func(ctx context.Context, d time.Duration) bool
+	Sleep  func(ctx context.Context, d time.Duration) bool
 	// MaxUnacked caps the completed-but-unacknowledged Results buffered
 	// for redelivery across a coordinator restart; ≤ 0 means 1024.
 	// Overflow evicts arbitrarily — an evicted unit is merely
@@ -158,21 +153,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 	if wc.MaxUnacked <= 0 {
 		wc.MaxUnacked = 1024
 	}
-	if wc.Jitter == nil {
-		wc.Jitter = rand.New(rand.NewSource(wc.JitterSeed))
-	}
-	if wc.Sleep == nil {
-		wc.Sleep = func(ctx context.Context, d time.Duration) bool {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-	}
 	addrs := wc.Addrs
 	if len(addrs) == 0 && wc.Addr != "" {
 		addrs = []string{wc.Addr}
@@ -202,8 +182,8 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 		unacked: map[int]*feed.Result{},
 	}
 	stats := &w.stats
-	backoff := wc.ReconnectWait
-	joinFailures := 0
+	bo := supervise.NewBackoff(wc.ReconnectWait, 32*wc.ReconnectWait, wc.Jitter, wc.Sleep)
+	joinFailures, redials := 0, 0 // redials since the last session set the backoff
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -228,8 +208,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 		}
 		var we wireError
 		if joined || errors.As(err, &we) {
-			joinFailures = 0
-			backoff = wc.ReconnectWait
+			joinFailures, redials = 0, 0
 		} else {
 			joinFailures++
 			if joinFailures >= wc.MaxJoinFailures {
@@ -237,16 +216,12 @@ func RunWorker(ctx context.Context, wc WorkerConfig) (*WorkerStats, error) {
 			}
 		}
 		stats.Redials++
-		// Jitter uniformly in [backoff/2, backoff] (the Collector's
-		// reconnect idiom) so orphaned workers spread their redials.
-		d := backoff/2 + time.Duration(wc.Jitter.Int63n(int64(backoff/2)+1))
+		redials++
+		d := bo.Delay(redials)
 		stats.Backoffs = append(stats.Backoffs, d)
 		w.logf("farm worker: connection lost (%v); redialing in %v", err, d)
-		if !wc.Sleep(ctx, d) {
+		if !bo.Sleep(ctx, d) {
 			return stats, ctx.Err()
-		}
-		if backoff *= 2; backoff > 32*wc.ReconnectWait {
-			backoff = 32 * wc.ReconnectWait
 		}
 	}
 }

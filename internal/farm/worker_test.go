@@ -23,9 +23,9 @@ func deadAddr(t *testing.T) string {
 }
 
 // recordBackoffs runs a worker against a dead coordinator with a
-// recording Sleep fake and a seeded jitter rng, returning the exact
-// redial schedule it chose.
-func recordBackoffs(t *testing.T, addr string, seed int64, attempts int) []time.Duration {
+// recording Sleep fake and the given jitter rng (nil = the default),
+// returning the exact redial schedule it chose.
+func recordBackoffs(t *testing.T, addr string, jitter *rand.Rand, attempts int) []time.Duration {
 	t.Helper()
 	var waits []time.Duration
 	st, err := RunWorker(context.Background(), WorkerConfig{
@@ -35,7 +35,7 @@ func recordBackoffs(t *testing.T, addr string, seed int64, attempts int) []time.
 		Addr:            addr,
 		ReconnectWait:   80 * time.Millisecond,
 		MaxJoinFailures: attempts,
-		Jitter:          rand.New(rand.NewSource(seed)),
+		Jitter:          jitter,
 		Sleep: func(ctx context.Context, d time.Duration) bool {
 			waits = append(waits, d)
 			return true
@@ -59,9 +59,10 @@ func recordBackoffs(t *testing.T, addr string, seed int64, attempts int) []time.
 func TestFarmWorkerBackoffJitterDeterministic(t *testing.T) {
 	addr := deadAddr(t)
 	const attempts = 9
-	a := recordBackoffs(t, addr, 7, attempts)
-	b := recordBackoffs(t, addr, 7, attempts)
-	c := recordBackoffs(t, addr, 8, attempts)
+	seeded := func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+	a := recordBackoffs(t, addr, seeded(7), attempts)
+	b := recordBackoffs(t, addr, seeded(7), attempts)
+	c := recordBackoffs(t, addr, seeded(8), attempts)
 
 	if len(a) != attempts-1 {
 		t.Fatalf("recorded %d backoffs, want one per retry = %d", len(a), attempts-1)
@@ -85,5 +86,12 @@ func TestFarmWorkerBackoffJitterDeterministic(t *testing.T) {
 	// The cap must actually have been reached within the budget.
 	if last := a[len(a)-1]; last > 32*80*time.Millisecond {
 		t.Errorf("final backoff %v exceeds the 32× cap", last)
+	}
+
+	// Default-configured workers (no Jitter) must decorrelate: a farm
+	// orphaned by one coordinator death must not redial in lockstep.
+	d1 := recordBackoffs(t, addr, nil, attempts)
+	if d2 := recordBackoffs(t, addr, nil, attempts); reflect.DeepEqual(d1, d2) {
+		t.Errorf("two default workers chose the identical schedule %v", d1)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"marketminer/internal/metrics"
+	"marketminer/internal/supervise"
 	"marketminer/internal/taq"
 )
 
@@ -29,27 +30,17 @@ type CollectorConfig struct {
 	// Buffer is the depth of the outgoing quote channel (default 1024).
 	Buffer int
 	// InitialBackoff is the reconnect delay after the first failure
-	// (default 50ms); consecutive failures grow it by BackoffFactor
-	// (default 2) up to MaxBackoff (default 5s). The applied delay is
-	// jittered uniformly in [d/2, d] to decorrelate thundering-herd
-	// reconnects across collectors.
+	// (default 50ms); consecutive failures double it up to MaxBackoff
+	// (default 5s), jittered as supervise.Backoff describes so
+	// collectors cut off together do not redial in lockstep.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	BackoffFactor  float64
-	// JitterSeed seeds the backoff jitter rng (0 = deterministic
-	// default seed; tests rely on reproducible schedules).
-	JitterSeed int64
-	// Jitter, when non-nil, replaces the JitterSeed-derived rng.
-	// Collectors never share rng state (each owns a private instance,
-	// guarded by the collector mutex), so reconnect schedules stay
-	// deterministic and race-free; inject a seeded rng here to pin a
-	// test's exact backoff sequence.
+	// Jitter and Sleep are the supervise.Backoff test seams: a seeded
+	// rng pins a test's exact schedule (nil draws from a private,
+	// randomly seeded rng per collector), and a recording Sleep
+	// asserts reconnect schedules without wall-clock time.
 	Jitter *rand.Rand
-	// Sleep, when non-nil, replaces the real backoff wait. It must
-	// return false iff ctx was cancelled before the delay elapsed.
-	// Tests inject a recording fake so reconnect schedules can be
-	// asserted without wall-clock time.
-	Sleep func(ctx context.Context, d time.Duration) bool
+	Sleep  func(ctx context.Context, d time.Duration) bool
 	// HeartbeatTimeout is the read deadline per frame: a connection
 	// silent for longer (no batches, no heartbeats) is presumed dead
 	// and redialed (default 15s). Must exceed the server's Heartbeat
@@ -77,26 +68,8 @@ func (c CollectorConfig) withDefaults() CollectorConfig {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 5 * time.Second
 	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 15 * time.Second
-	}
-	if c.Jitter == nil {
-		c.Jitter = rand.New(rand.NewSource(c.JitterSeed))
-	}
-	if c.Sleep == nil {
-		c.Sleep = func(ctx context.Context, d time.Duration) bool {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
 	}
 	return c
 }
@@ -143,7 +116,7 @@ var ErrUniverseChanged = errors.New("feed: server universe changed across reconn
 type Collector struct {
 	cfg    CollectorConfig
 	quotes chan taq.Quote
-	rng    *rand.Rand
+	bo     *supervise.Backoff
 
 	uniReady chan struct{}
 	uni      *taq.Universe
@@ -162,7 +135,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	return &Collector{
 		cfg:      cfg,
 		quotes:   make(chan taq.Quote, cfg.Buffer),
-		rng:      cfg.Jitter,
+		bo:       supervise.NewBackoff(cfg.InitialBackoff, cfg.MaxBackoff, cfg.Jitter, cfg.Sleep),
 		uniReady: make(chan struct{}),
 	}
 }
@@ -210,58 +183,37 @@ func (c *Collector) Run(ctx context.Context) error {
 			c.mu.Lock()
 			c.st.DialFailures++
 			c.mu.Unlock()
-			attempt++
-			if c.cfg.MaxAttempts > 0 && attempt >= c.cfg.MaxAttempts {
-				return fmt.Errorf("feed: giving up after %d attempts: %w", attempt, err)
+		} else {
+			var progressed bool
+			progressed, err = c.session(ctx, conn)
+			if errors.Is(err, errEndOfFeed) {
+				return nil
 			}
-			if !c.sleep(ctx, attempt) {
+			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			continue
-		}
-		progressed, err := c.session(ctx, conn)
-		if errors.Is(err, errEndOfFeed) {
-			return nil
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if errors.Is(err, ErrUniverseChanged) {
-			return err
-		}
-		c.mu.Lock()
-		c.st.Disconnects++
-		c.mu.Unlock()
-		if progressed {
-			attempt = 0 // the stream moved; start backoff over
+			if errors.Is(err, ErrUniverseChanged) {
+				return err
+			}
+			c.mu.Lock()
+			c.st.Disconnects++
+			c.mu.Unlock()
+			if progressed {
+				attempt = 0 // the stream moved; start backoff over
+			}
 		}
 		attempt++
 		if c.cfg.MaxAttempts > 0 && attempt >= c.cfg.MaxAttempts {
 			return fmt.Errorf("feed: giving up after %d attempts: %w", attempt, err)
 		}
-		if !c.sleep(ctx, attempt) {
+		d := c.bo.Delay(attempt)
+		c.mu.Lock()
+		c.st.Backoffs = append(c.st.Backoffs, d)
+		c.mu.Unlock()
+		if !c.bo.Sleep(ctx, d) {
 			return ctx.Err()
 		}
 	}
-}
-
-// sleep applies the jittered exponential backoff for the given
-// consecutive-failure count; false means the context was cancelled.
-func (c *Collector) sleep(ctx context.Context, attempt int) bool {
-	d := c.cfg.InitialBackoff
-	for i := 1; i < attempt; i++ {
-		d = time.Duration(float64(d) * c.cfg.BackoffFactor)
-		if d >= c.cfg.MaxBackoff {
-			d = c.cfg.MaxBackoff
-			break
-		}
-	}
-	c.mu.Lock()
-	// Jitter uniformly in [d/2, d].
-	d = d/2 + time.Duration(c.rng.Int63n(int64(d/2)+1))
-	c.st.Backoffs = append(c.st.Backoffs, d)
-	c.mu.Unlock()
-	return c.cfg.Sleep(ctx, d)
 }
 
 // session runs one connection: subscribe at the resume point, validate

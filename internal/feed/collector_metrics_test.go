@@ -2,6 +2,7 @@ package feed
 
 import (
 	"context"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -102,7 +103,7 @@ func TestCollectorGapResumeAndReconnectMetrics(t *testing.T) {
 		InitialBackoff:   time.Millisecond,
 		MaxBackoff:       5 * time.Millisecond,
 		HeartbeatTimeout: 5 * time.Second,
-		JitterSeed:       1,
+		Jitter:           rand.New(rand.NewSource(1)),
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

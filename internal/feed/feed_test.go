@@ -236,14 +236,13 @@ func TestServerEvictionIncrementsCounterAndLogs(t *testing.T) {
 // reconnect schedule is exactly reproducible (no wall-clock time, no
 // shared rand state) — the property the -race feed focus leans on.
 func TestCollectorBackoffDeterministicInjectedClock(t *testing.T) {
-	run := func() []time.Duration {
+	run := func(jitter *rand.Rand) []time.Duration {
 		var slept []time.Duration
 		c := NewCollector(CollectorConfig{
 			Dial:           func(ctx context.Context) (net.Conn, error) { return nil, errors.New("down") },
 			InitialBackoff: 10 * time.Millisecond,
 			MaxBackoff:     80 * time.Millisecond,
-			BackoffFactor:  2,
-			Jitter:         rand.New(rand.NewSource(99)),
+			Jitter:         jitter,
 			Sleep: func(ctx context.Context, d time.Duration) bool {
 				slept = append(slept, d)
 				return true
@@ -258,7 +257,7 @@ func TestCollectorBackoffDeterministicInjectedClock(t *testing.T) {
 		return slept
 	}
 
-	got := run()
+	got := run(rand.New(rand.NewSource(99)))
 	if len(got) != 6 { // MaxAttempts=7 → sleeps after failures 1..6
 		t.Fatalf("recorded %d sleeps, want 6: %v", len(got), got)
 	}
@@ -278,9 +277,15 @@ func TestCollectorBackoffDeterministicInjectedClock(t *testing.T) {
 	}
 
 	// Same seed → byte-identical schedule on a second run.
-	again := run()
+	again := run(rand.New(rand.NewSource(99)))
 	if !reflect.DeepEqual(got, again) {
 		t.Errorf("schedule not reproducible:\n  first  %v\n  second %v", got, again)
+	}
+
+	// Default-configured collectors (no Jitter) must decorrelate, or a
+	// feed server restart makes every collector redial in lockstep.
+	if d1, d2 := run(nil), run(nil); reflect.DeepEqual(d1, d2) {
+		t.Errorf("two default collectors chose the identical schedule %v", d1)
 	}
 }
 
@@ -343,7 +348,7 @@ func TestCollectorResumesAfterServerRestart(t *testing.T) {
 		InitialBackoff:   5 * time.Millisecond,
 		MaxBackoff:       50 * time.Millisecond,
 		HeartbeatTimeout: 2 * time.Second,
-		JitterSeed:       1,
+		Jitter:           rand.New(rand.NewSource(1)),
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -473,7 +478,7 @@ func TestCollectorFlakyTransportZeroLoss(t *testing.T) {
 		InitialBackoff:   4 * time.Millisecond,
 		MaxBackoff:       40 * time.Millisecond,
 		HeartbeatTimeout: 2 * time.Second,
-		JitterSeed:       42,
+		Jitter:           rand.New(rand.NewSource(42)),
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()

@@ -2,6 +2,7 @@ package supervise
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -34,7 +35,8 @@ type quarLine struct {
 // re-fed forever".
 //
 // Tail healing mirrors the sweep journal: on open, a torn or corrupt
-// trailing line is detected by its CRC and truncated away; every fully
+// trailing line is detected by its CRC — or, when torn just before its
+// '\n', by the missing terminator — and truncated away; every fully
 // synced record survives.
 type Quarantine struct {
 	mu      sync.Mutex
@@ -89,8 +91,12 @@ func (q *Quarantine) load(f *os.File) (int64, error) {
 	var clean int64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Split(scanRecords)
 	for sc.Scan() {
 		line := sc.Bytes()
+		if line[len(line)-1] != '\n' {
+			return clean, nil // torn before its terminator: an append would glue onto it
+		}
 		var ql quarLine
 		if err := json.Unmarshal(line, &ql); err != nil {
 			return clean, nil // torn tail: stop at the last good line
@@ -104,9 +110,22 @@ func (q *Quarantine) load(f *os.File) (int64, error) {
 		}
 		q.seen[rec.Key] = rec
 		q.loaded++
-		clean += int64(len(line)) + 1
+		clean += int64(len(line))
 	}
 	return clean, sc.Err()
+}
+
+// scanRecords is bufio.ScanLines without the CR stripping and with the
+// '\n' kept: token lengths sum to exact file offsets, and a final token
+// that does not end in '\n' is a record torn before its terminator.
+func scanRecords(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // Seen reports whether key is quarantined.

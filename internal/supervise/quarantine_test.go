@@ -88,6 +88,51 @@ func TestQuarantineHealsTornTail(t *testing.T) {
 	}
 }
 
+// TestQuarantineHealsRecordTornBeforeNewline cuts only the final '\n':
+// the last record is whole but its write never finished. Open must
+// heal it away rather than accept it, or the next append glues onto
+// it and the open after that truncates both lines and every record
+// appended since.
+func TestQuarantineHealsRecordTornBeforeNewline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "quarantine.jsonl")
+	q, err := OpenQuarantine(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Record("s", "a", "r1")
+	q.Record("s", "b", "r2")
+	q.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	q2, err := OpenQuarantine(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q2.Healed() || q2.Len() != 1 || !q2.Seen("a") {
+		t.Fatalf("torn record: healed=%v len=%d, want the intact record a only", q2.Healed(), q2.Len())
+	}
+	for _, k := range []string{"b", "c"} {
+		if err := q2.Record("s", k, "again"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q2.Close()
+	q3, err := OpenQuarantine(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q3.Close()
+	if q3.Healed() || q3.Len() != 3 || !q3.Seen("a") || !q3.Seen("b") || !q3.Seen("c") {
+		t.Errorf("after heal+append: healed=%v records=%v, want a, b, c intact", q3.Healed(), q3.Records())
+	}
+}
+
 func TestQuarantineRejectsBitFlippedLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "quarantine.jsonl")
 	q, _ := OpenQuarantine(path)

@@ -44,7 +44,7 @@ type StageReport struct {
 type Stage struct {
 	name string
 	pol  Policy
-	bo   *backoff
+	bo   *Backoff
 	quar *Quarantine
 	key  KeyFunc
 
@@ -58,7 +58,7 @@ type Stage struct {
 // key may be nil (no message is quarantinable).
 func NewStage(name string, p Policy, quar *Quarantine, key KeyFunc) *Stage {
 	p = p.withDefaults()
-	return &Stage{name: name, pol: p, bo: newBackoff(p), quar: quar, key: key}
+	return &Stage{name: name, pol: p, bo: NewBackoff(p.InitialBackoff, p.MaxBackoff, p.Jitter, p.Sleep), quar: quar, key: key}
 }
 
 // Report snapshots the stage counters.
@@ -92,7 +92,7 @@ func (s *Stage) Wrap(proc engine.ProcFunc) engine.ProcFunc {
 				s.mu.Lock()
 				s.rep.Retries++
 				s.mu.Unlock()
-				if !s.pol.Sleep(ctx, s.bo.delay(attempt)) {
+				if !s.bo.Sleep(ctx, s.bo.Delay(attempt)) {
 					return ctx.Err()
 				}
 			}

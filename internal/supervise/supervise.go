@@ -1,6 +1,7 @@
 // Package supervise is the fault-tolerance runtime around the stream
-// engine: restart policies with jittered exponential backoff and a
-// max-restart circuit breaker, per-message panic isolation for DAG
+// engine: restart policies with jittered exponential backoff (Backoff,
+// the one retry schedule every reconnect loop in the repo shares) and
+// a max-restart circuit breaker, per-message panic isolation for DAG
 // stages with poison-message quarantine, bounded queues with explicit
 // backpressure and drop accounting, deadline-bounded graceful drain,
 // and CRC-guarded atomic-rename snapshots for warm state.
@@ -12,7 +13,9 @@
 // day's correlation state. Everything here is deterministic under an
 // injected clock and rng, so the restart machinery itself is testable
 // to the same bit-for-bit standard as the kernels (see DESIGN.md
-// §Robustness).
+// §Robustness). Without an injected rng each Backoff seeds its own at
+// random, so production clients decorrelate rather than replay one
+// schedule.
 package supervise
 
 import (
@@ -31,13 +34,10 @@ import (
 // default, so Policy{} is a usable production policy.
 type Policy struct {
 	// InitialBackoff is the delay before the first restart (default
-	// 10ms); consecutive failures grow it by BackoffFactor (default 2)
-	// up to MaxBackoff (default 2s). Each applied delay is jittered
-	// uniformly in [d/2, d], the same decorrelation scheme as the feed
-	// collector's reconnect loop.
+	// 10ms); consecutive failures double it up to MaxBackoff (default
+	// 2s), jittered as Backoff describes.
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	BackoffFactor  float64
 	// MaxFailures is the circuit breaker: this many consecutive
 	// failures (restarts without progress, or poisoned messages
 	// without a clean one in between) abort with a CircuitError
@@ -49,13 +49,11 @@ type Policy struct {
 	// not should set Retries < 0, which disables retrying (a first
 	// panic quarantines immediately).
 	Retries int
-	// Jitter, when non-nil, replaces the backoff jitter rng. The
-	// default is a private deterministically-seeded rng per backoff
-	// instance; inject a seeded one to pin a test's exact schedule.
+	// Jitter and Sleep are the Backoff test seams: a seeded rng pins
+	// a test's exact schedule (nil draws from a private, randomly
+	// seeded rng), and a recording Sleep replaces the real wait.
 	Jitter *rand.Rand
-	// Sleep, when non-nil, replaces the real backoff wait; it must
-	// return false iff ctx was cancelled before the delay elapsed.
-	Sleep func(ctx context.Context, d time.Duration) bool
+	Sleep  func(ctx context.Context, d time.Duration) bool
 }
 
 func (p Policy) withDefaults() Policy {
@@ -65,9 +63,6 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
 	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = 2
-	}
 	if p.MaxFailures <= 0 {
 		p.MaxFailures = 8
 	}
@@ -76,51 +71,65 @@ func (p Policy) withDefaults() Policy {
 	} else if p.Retries < 0 {
 		p.Retries = 0
 	}
-	if p.Sleep == nil {
-		p.Sleep = func(ctx context.Context, d time.Duration) bool {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-	}
 	return p
 }
 
-// backoff computes jittered exponential delays. Safe for concurrent
-// use (stage workers may back off in parallel).
-type backoff struct {
-	pol Policy
+// Backoff is the one retry schedule shared by every reconnect and
+// restart loop: feed collectors, broker subscribers, farm workers and
+// supervised tasks and stages. The delay before retry n doubles from
+// initial up to max, and each applied delay is drawn uniformly in
+// [d/2, d], so clients cut off by the same fault spread their retries
+// instead of redialing in lockstep. Callers keep their own attempt
+// counting and give-up rules. Safe for concurrent use (stage workers
+// may back off in parallel).
+type Backoff struct {
+	initial, max time.Duration
+	sleep        func(ctx context.Context, d time.Duration) bool
+
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-func newBackoff(p Policy) *backoff {
-	rng := p.Jitter
+// NewBackoff returns the schedule. A nil rng means a private, randomly
+// seeded one, so default-configured clients never share a schedule;
+// inject a seeded rng to pin a test's exact delays. A nil sleep means
+// a real timer wait; an injected one must return false iff ctx was
+// cancelled before the delay elapsed.
+func NewBackoff(initial, max time.Duration, rng *rand.Rand, sleep func(ctx context.Context, d time.Duration) bool) *Backoff {
 	if rng == nil {
-		rng = rand.New(rand.NewSource(1))
+		rng = rand.New(rand.NewSource(rand.Int63()))
 	}
-	return &backoff{pol: p, rng: rng}
+	return &Backoff{initial: initial, max: max, sleep: sleep, rng: rng}
 }
 
-// delay returns the jittered backoff for the given consecutive-failure
-// count (1-based).
-func (b *backoff) delay(failure int) time.Duration {
-	d := b.pol.InitialBackoff
-	for i := 1; i < failure; i++ {
-		d = time.Duration(float64(d) * b.pol.BackoffFactor)
-		if d >= b.pol.MaxBackoff {
-			d = b.pol.MaxBackoff
+// Delay returns the jittered delay before retry n, where n (1-based)
+// counts the consecutive failures so far.
+func (b *Backoff) Delay(n int) time.Duration {
+	d := b.initial
+	for i := 1; i < n; i++ {
+		if d *= 2; d >= b.max {
+			d = b.max
 			break
 		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return d/2 + time.Duration(b.rng.Int63n(int64(d/2)+1))
+}
+
+// Sleep waits d, returning false iff ctx was cancelled first.
+func (b *Backoff) Sleep(ctx context.Context, d time.Duration) bool {
+	if b.sleep != nil {
+		return b.sleep(ctx, d)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // CircuitError reports an opened circuit breaker: the supervised unit
@@ -178,7 +187,7 @@ type TaskReport struct {
 // between restarts.
 func Run(ctx context.Context, name string, p Policy, task func(ctx context.Context, progress func()) error) (TaskReport, error) {
 	p = p.withDefaults()
-	bo := newBackoff(p)
+	bo := NewBackoff(p.InitialBackoff, p.MaxBackoff, p.Jitter, p.Sleep)
 	var rep TaskReport
 	failures := 0
 	for {
@@ -208,7 +217,7 @@ func Run(ctx context.Context, name string, p Policy, task func(ctx context.Conte
 		}
 		rep.Restarts++
 		metrics.Counter("supervise.restarts").Inc()
-		if !p.Sleep(ctx, bo.delay(failures)) {
+		if !bo.Sleep(ctx, bo.Delay(failures)) {
 			return rep, ctx.Err()
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -22,7 +23,6 @@ func testPolicy(clk *fakeClock, seed int64) Policy {
 	return Policy{
 		InitialBackoff: 10 * time.Millisecond,
 		MaxBackoff:     80 * time.Millisecond,
-		BackoffFactor:  2,
 		Jitter:         rand.New(rand.NewSource(seed)),
 		Sleep:          clk.sleep,
 	}
@@ -144,6 +144,42 @@ func TestRunStopsOnContextCancel(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestBackoffDefaults covers the nil seams: each Backoff without an
+// injected rng draws its own schedule (clients do not retry in
+// lockstep) inside the [d/2, d] windows, and the default Sleep is a
+// real timer wait that a cancelled context cuts short.
+func TestBackoffDefaults(t *testing.T) {
+	schedule := func() []time.Duration {
+		bo := NewBackoff(time.Millisecond, 8*time.Millisecond, nil, nil)
+		var out []time.Duration
+		for n, hi := range []time.Duration{1, 2, 4, 8, 8, 8} {
+			d := bo.Delay(n + 1)
+			if hi *= time.Millisecond; d < hi/2 || d > hi {
+				t.Errorf("delay %d = %v outside [%v, %v]", n+1, d, hi/2, hi)
+			}
+			out = append(out, d)
+		}
+		return out
+	}
+	if a, b := schedule(), schedule(); reflect.DeepEqual(a, b) {
+		t.Errorf("two default backoffs chose the identical schedule %v", a)
+	}
+
+	bo := NewBackoff(time.Millisecond, time.Second, nil, nil)
+	if !bo.Sleep(context.Background(), time.Microsecond) {
+		t.Error("default Sleep reported cancellation on a live context")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if bo.Sleep(ctx, time.Hour) {
+		t.Error("default Sleep ignored a cancelled context")
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Errorf("cancelled Sleep still waited %v", waited)
 	}
 }
 

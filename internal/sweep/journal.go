@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,9 +49,10 @@ type Entry struct {
 
 // journalLine is the envelope around each entry: the CRC32 (IEEE) of
 // the raw entry JSON. A line that is truncated mid-write fails to
-// parse; a line whose bytes were damaged fails the checksum; both are
-// reported as a Corruption and healed by truncating back to the last
-// intact entry.
+// parse; a line whose bytes were damaged fails the checksum; a line
+// torn just before its '\n' lacks the terminator (an append would glue
+// onto it); all are reported as a Corruption and healed by truncating
+// back to the last intact entry.
 type journalLine struct {
 	CRC uint32          `json:"crc"`
 	E   json.RawMessage `json:"e"`
@@ -102,6 +104,7 @@ func readJournal(path string) (*journalData, error) {
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), maxJournalLine)
+	sc.Split(scanRecords)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("sweep: %s: read header: %w", path, err)
@@ -115,14 +118,25 @@ func readJournal(path string) (*journalData, error) {
 	if h.Schema != JournalSchema {
 		return nil, fmt.Errorf("sweep: %s: journal schema %q, want %q", path, h.Schema, JournalSchema)
 	}
-	d := &journalData{Header: h, CleanSize: int64(len(sc.Bytes())) + 1}
-
+	d := &journalData{Header: h, CleanSize: int64(len(sc.Bytes()))}
 	line := 1
+	if sc.Bytes()[len(sc.Bytes())-1] != '\n' {
+		// The header itself was torn before its '\n': heal to empty so
+		// OpenJournal rewrites it.
+		d.CleanSize = 0
+		d.Corrupt = &Corruption{Path: path, Line: line, Reason: unterminated}
+		return d, nil
+	}
+
 	for sc.Scan() {
 		line++
 		raw := sc.Bytes()
 		corrupt := func(reason string) {
 			d.Corrupt = &Corruption{Path: path, Offset: d.CleanSize, Line: line, Units: len(d.Entries), Reason: reason}
+		}
+		if raw[len(raw)-1] != '\n' {
+			corrupt(unterminated)
+			return d, nil
 		}
 		var jl journalLine
 		if err := json.Unmarshal(raw, &jl); err != nil || jl.E == nil {
@@ -143,7 +157,7 @@ func readJournal(path string) (*journalData, error) {
 			return d, nil
 		}
 		d.Entries = append(d.Entries, e)
-		d.CleanSize += int64(len(raw)) + 1
+		d.CleanSize += int64(len(raw))
 	}
 	if err := sc.Err(); err != nil {
 		if errors.Is(err, bufio.ErrTooLong) {
@@ -153,6 +167,22 @@ func readJournal(path string) (*journalData, error) {
 		return nil, fmt.Errorf("sweep: %s: read: %w", path, err)
 	}
 	return d, nil
+}
+
+// unterminated is the Corruption reason for a line torn before its '\n'.
+const unterminated = "line torn before its terminator"
+
+// scanRecords is bufio.ScanLines without the CR stripping and with the
+// '\n' kept: token lengths sum to exact file offsets, and a final token
+// that does not end in '\n' is a line torn before its terminator.
+func scanRecords(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i+1], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // Journal is an append-only checkpoint log opened for writing by one
@@ -205,11 +235,13 @@ func OpenJournal(path string, h Header) (*Journal, map[int]int, *Corruption, err
 				return nil, nil, nil, fmt.Errorf("sweep: heal %s: %w", path, err)
 			}
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, nil, err
+		if d.CleanSize > 0 {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return &Journal{path: path, f: f, w: bufio.NewWriter(f)}, done, corrupt, nil
 		}
-		return &Journal{path: path, f: f, w: bufio.NewWriter(f)}, done, corrupt, nil
 	}
 
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -230,7 +262,7 @@ func OpenJournal(path string, h Header) (*Journal, map[int]int, *Corruption, err
 		f.Close()
 		return nil, nil, nil, err
 	}
-	return j, done, nil, nil
+	return j, done, corrupt, nil
 }
 
 // Append writes one completed unit and flushes it to the OS; every

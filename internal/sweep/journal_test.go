@@ -137,3 +137,98 @@ func TestJournalCorruptHeader(t *testing.T) {
 		t.Fatal("corrupt header should be a hard error")
 	}
 }
+
+// TestJournalTornBeforeNewline cuts only the final '\n' of a paused
+// shard's journal: a record torn just before its terminator. Resume
+// must report and heal it, re-running that one unit, rather than
+// accept the line and glue its next append onto it — the following
+// open would then truncate both lines and everything appended after.
+func TestJournalTornBeforeNewline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := testConfig(t, 4, 3, 2, 11)
+	want, err := backtest.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "s.journal")
+	rc := RunConfig{Config: cfg, BlockSize: 3, Shard: Shard{0, 1}, JournalPath: path, Limit: 3}
+	if st, err := Run(context.Background(), rc); err != nil || !st.Paused {
+		t.Fatalf("budgeted run: paused=%v err=%v", st != nil && st.Paused, err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	rc.Limit = 0
+	st, err := Run(context.Background(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recovered == nil {
+		t.Fatal("a record torn before its '\\n' was accepted as intact")
+	}
+	if st.UnitsSkipped != 2 || st.UnitsExecuted != st.UnitsTotal-2 {
+		t.Fatalf("resume skipped %d and executed %d of %d units, want 2 and the rest",
+			st.UnitsSkipped, st.UnitsExecuted, st.UnitsTotal)
+	}
+	got, _, err := MergeFiles([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, want, got, "torn-newline resume")
+
+	// The healed journal reopens clean and complete.
+	st, err = Run(context.Background(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Recovered != nil || st.UnitsExecuted != 0 {
+		t.Fatalf("second resume: recovered=%v executed=%d, want nil and 0", st.Recovered, st.UnitsExecuted)
+	}
+}
+
+// TestJournalTornHeaderRewritten cuts the '\n' of a journal that holds
+// only its header. Open must heal the file back to empty and rewrite
+// the header, so appends land on a fresh line instead of corrupting the
+// header for every later open.
+func TestJournalTornHeaderRewritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.journal")
+	h := Header{Schema: JournalSchema, Fingerprint: "fp", ShardCount: 1, UnitsTotal: 4}
+	j, _, _, err := OpenJournal(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+
+	j, done, corrupt, err := OpenJournal(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupt == nil || len(done) != 0 {
+		t.Fatalf("torn header: corrupt=%v done=%v, want a report and no units", corrupt, done)
+	}
+	if err := j.Append(Entry{U: 2}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	d, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Corrupt != nil || len(d.Entries) != 1 || d.Entries[0].U != 2 {
+		t.Fatalf("after heal+append: corrupt=%v entries=%v, want unit 2 only", d.Corrupt, d.Entries)
+	}
+}

@@ -47,6 +47,13 @@ go test -run '^$' -fuzz FuzzSIMDMatchesScalar -fuzztime 15s ./internal/corr
 echo "== go test -race ./internal/feed ./internal/supervise ./internal/chaos (robustness focus)"
 go test -race ./internal/feed ./internal/supervise ./internal/chaos
 
+echo "== one retry schedule: supervise.Backoff under every reconnect loop"
+go test -race -run 'Backoff|Jitter' ./internal/supervise ./internal/feed ./internal/farm ./internal/broker
+
+echo "== supervise decoder fuzz: quarantine journal + snapshots (time-boxed)"
+go test -run '^$' -fuzz FuzzOpenQuarantine -fuzztime 10s ./internal/supervise
+go test -run '^$' -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/supervise
+
 echo "== go test -race ./internal/broker (signal broker focus)"
 go test -race ./internal/broker
 
